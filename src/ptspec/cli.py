@@ -13,6 +13,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -37,71 +38,232 @@ def _fmt(v: float) -> str:
     return f"{v:.17g}"
 
 
-# Per-command option tables: dest -> (converter, default).  "auto" stays a
-# string until the numeric command resolves it.
-_FLOAT = float
-_INT = int
-_STR = str
-_BOOL = bool
+def _cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "1" if v else "0"
+    if isinstance(v, int):
+        return str(v)
+    return _fmt(v)
+
+
+def _table(fmt: str, key: str, columns: tuple, rows, **extra) -> str:
+    """Render rows as CSV under a header, or as JSON records under `key`.
+
+    `extra` holds top-level JSON fields that have no CSV column.
+    """
+    if fmt == "csv":
+        lines = [",".join(columns)] + [",".join(map(_cell, row)) for row in rows]
+        return "\n".join(lines) + "\n"
+    records = [dict(zip(columns, row)) for row in rows]
+    return json.dumps({key: records, **extra}, indent=2) + "\n"
+
+
+_SIGN = {"pos": 1, "neg": -1}
+_KINDS = ("ushaped", "line")
+
+
+def _pick_contour(kind: str, epsilon: float = 1.0, phi: float = 0.0):
+    return UShaped(epsilon) if kind == "ushaped" else StraightLine(phi)
+
+
+def _run_contour_sample(p: dict) -> str:
+    contour = _pick_contour(p["kind"], p["epsilon"], p["phi"])
+    if p["n"] < 1:
+        raise UsageError(f"n must be >= 1, got {p['n']}")
+    if not p["smax"] > p["smin"]:
+        raise UsageError("smax must exceed smin")
+    s = np.linspace(p["smin"], p["smax"], p["n"])
+    x = evaluate(contour, s)
+    dx, _ = derivatives(contour, s)
+    rows = (
+        (float(si), float(xi.real), float(xi.imag), float(di.real), float(di.imag))
+        for si, xi, di in zip(s, x, dx)
+    )
+    return _table(p["format"], "rows", ("s", "re_x", "im_x", "re_dx", "im_dx"), rows)
+
+
+def _run_spectrum_analytic(p: dict) -> str:
+    table = analytic.spectrum_table(p["Z"], p["L"], p["nmax"], _SIGN[p["mass"]])
+    rows = ((lv.n, lv.sigma, lv.energy, lv.kappa) for lv in table)
+    return _table(p["format"], "levels", ("n", "sigma", "energy", "kappa"), rows)
+
+
+def _solve(problem: solver.BoundStateProblem, S: float, p: dict) -> str:
+    """Run the bound-state search; levels are emitted in closed-form energy order."""
+    grid = solver.GridSpec(S=S, N=p["N"])
+    result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])
+    found = [(m.level, m.eigenvalue, m.residual, True) for m in result.matched]
+    found += [(u.level, u.eigenvalue, None, False) for u in result.unmatched]
+    found.sort(key=lambda r: (r[0].energy, r[0].n, r[0].sigma))
+    rows = []
+    for lv, ev, residual, matched in found:
+        re_im = (None, None) if ev is None else (ev.real, ev.imag)
+        rows.append((lv.n, lv.sigma, lv.energy, *re_im, residual, matched))
+    order = None
+    if result.convergence is not None:
+        order = result.convergence.order_estimate
+    columns = ("n", "sigma", "analytic", "numeric_re", "numeric_im", "residual", "matched")
+    return _table(p["format"], "levels", columns, rows, order_estimate=order)
+
+
+def _run_spectrum_numeric(p: dict) -> str:
+    S = p["S"]
+    if S == "auto":
+        S = solver.auto_box(p["Z"], p["L"], p["nmax"])
+    problem = solver.BoundStateProblem(
+        contour=UShaped(p["epsilon"]),
+        potential=CoulombKratzer(p["Z"]),
+        L=p["L"],
+        mass_sign=-1,
+    )
+    return _solve(problem, S, p)
+
+
+def _run_figure3(p: dict) -> str:
+    if p["grid_n"] < 2:
+        raise UsageError(f"grid_n must be >= 2, got {p['grid_n']}")
+    if not 0 < p["grid_min"] < p["grid_max"]:
+        raise UsageError("require 0 < grid_min < grid_max")
+    base = np.linspace(p["grid_min"], p["grid_max"], p["grid_n"])
+    # keep the collapse points visible: splice in every interior odd integer
+    odd = [
+        float(t)
+        for t in range(1, int(math.floor(p["grid_max"])) + 1, 2)
+        if p["grid_min"] < t < p["grid_max"]
+    ]
+    ts = sorted(set(float(t) for t in base) | set(odd))
+    rows = (
+        (r.two_L_plus_1, r.n, r.sigma, r.minus_kappa)
+        for r in analytic.figure3_data(p["Z"], ts, p["nmax"])
+    )
+    columns = ("two_L_plus_1", "n", "sigma", "minus_kappa")
+    return _table(p["format"], "rows", columns, rows)
+
+
+def _run_stability(p: dict) -> str:
+    contour = _pick_contour(p["contour"])
+    verdict = stability_verdict(MassConfig(sign=_SIGN[p["mass_sign"]]), contour)
+    return json.dumps(
+        {"bounded_below": verdict.bounded_below, "narrative": verdict.narrative},
+        indent=2,
+    ) + "\n"
+
+
+def _run_solve_oscillator(p: dict) -> str:
+    return _solve(solver.oscillator_problem(), p["S"], p)
+
+
+# ---------------------------------------------------------------------------
+# The flag table: the one source of every flag and config-file key.
+
+
+def _flag_bool(raw) -> bool:
+    if not isinstance(raw, bool):
+        raise ValueError("expected true/false")
+    return raw
+
+
+def _box_width(raw):
+    """A half-width S, or 'auto' to let solver.auto_box choose it."""
+    if raw == "auto":
+        return raw
+    try:
+        return float(raw)
+    except (TypeError, ValueError):
+        raise ValueError("expected a number or 'auto'") from None
+
+
+class _Flag(NamedTuple):
+    """One flag: `--<name>` on the command line, `<name>` in a config file."""
+
+    convert: Callable
+    default: object = None
+    choices: tuple = ()
+    required: bool = False
+    help: str = ""
+
+
+class _Command(NamedTuple):
+    help: str
+    runner: Callable
+    flags: dict
+
+
+_GROUP_HELP = {
+    "contour": "contour geometry outputs",
+    "spectrum": "discrete spectra",
+    "solve": "solver fixtures",
+}
+_OUT = _Flag(str, help="write the artifact here instead of standard output")
+_Z = _Flag(float, 1.0, help="Coulomb coupling Z")
+_L = _Flag(float, required=True, help="effective angular momentum L (not an integer)")
+_EPSILON = _Flag(float, 1.0, help="U-path width")
+_ORDER = _Flag(_flag_bool, False, help="also run the halved-step grid and report the order")
+
+
+def _format(default: str) -> _Flag:
+    return _Flag(str, default, ("csv", "json"), help="artifact format")
+
+
+def _nmax(default: int) -> _Flag:
+    return _Flag(int, default, help="highest level index n")
+
 
 _COMMANDS = {
-    ("contour", "sample"): {
-        "kind": (_STR, "ushaped"),
-        "epsilon": (_FLOAT, 1.0),
-        "phi": (_FLOAT, 0.0),
-        "smin": (_FLOAT, -10.0),
-        "smax": (_FLOAT, 10.0),
-        "n": (_INT, 400),
-        "format": (_STR, "csv"),
-        "out": (_STR, None),
-    },
-    ("spectrum", "analytic"): {
-        "Z": (_FLOAT, 1.0),
-        "L": (_FLOAT, None),
-        "nmax": (_INT, 4),
-        "mass": (_STR, "neg"),
-        "format": (_STR, "csv"),
-        "out": (_STR, None),
-    },
-    ("spectrum", "numeric"): {
-        "Z": (_FLOAT, 1.0),
-        "L": (_FLOAT, None),
-        "epsilon": (_FLOAT, 1.0),
-        "S": (_STR, "auto"),
-        "N": (_INT, 4000),
-        "nmax": (_INT, 2),
-        "order": (_BOOL, False),
-        "format": (_STR, "json"),
-        "out": (_STR, None),
-    },
-    ("figure3",): {
-        "Z": (_FLOAT, 1.0),
-        "grid_min": (_FLOAT, 0.05),
-        "grid_max": (_FLOAT, 6.0),
-        "grid_n": (_INT, 400),
-        "nmax": (_INT, 4),
-        "format": (_STR, "csv"),
-        "out": (_STR, None),
-    },
-    ("stability",): {
-        "mass_sign": (_STR, None),
-        "contour": (_STR, None),
-        "out": (_STR, None),
-    },
-    ("solve", "oscillator"): {
-        "nmax": (_INT, 4),
-        "S": (_FLOAT, 10.0),
-        "N": (_INT, 2000),
-        "order": (_BOOL, False),
-        "format": (_STR, "json"),
-        "out": (_STR, None),
-    },
-}
-
-_REQUIRED = {
-    ("spectrum", "analytic"): ("L",),
-    ("spectrum", "numeric"): ("L",),
-    ("stability",): ("mass_sign", "contour"),
+    ("contour", "sample"): _Command("sample x(s) and x'(s) to CSV", _run_contour_sample, {
+        "kind": _Flag(str, "ushaped", _KINDS, help="contour family"),
+        "epsilon": _EPSILON,
+        "phi": _Flag(float, 0.0, help="straight-line angle phi"),
+        "smin": _Flag(float, -10.0, help="first path parameter"),
+        "smax": _Flag(float, 10.0, help="last path parameter"),
+        "n": _Flag(int, 400, help="number of samples"),
+        "format": _format("csv"),
+        "out": _OUT,
+    }),
+    ("spectrum", "analytic"): _Command("closed-form level table", _run_spectrum_analytic, {
+        "Z": _Z,
+        "L": _L,
+        "nmax": _nmax(4),
+        "mass": _Flag(str, "neg", tuple(_SIGN), help="bare-mass sign"),
+        "format": _format("csv"),
+        "out": _OUT,
+    }),
+    ("spectrum", "numeric"): _Command(
+        "finite-difference validation run", _run_spectrum_numeric, {
+            "Z": _Z,
+            "L": _L,
+            "epsilon": _EPSILON,
+            "S": _Flag(_box_width, "auto", help="half-width, or 'auto'"),
+            "N": _Flag(int, 4000, help="interior grid nodes"),
+            "nmax": _nmax(2),
+            "order": _ORDER,
+            "format": _format("json"),
+            "out": _OUT,
+        }),
+    ("figure3",): _Command("level sweep over 2L+1", _run_figure3, {
+        "Z": _Z,
+        "grid_min": _Flag(float, 0.05, help="smallest 2L+1"),
+        "grid_max": _Flag(float, 6.0, help="largest 2L+1"),
+        "grid_n": _Flag(int, 400, help="uniform samples of 2L+1"),
+        "nmax": _nmax(4),
+        "format": _format("csv"),
+        "out": _OUT,
+    }),
+    ("stability",): _Command("bounded-below verdict as JSON", _run_stability, {
+        "mass_sign": _Flag(str, None, tuple(_SIGN), required=True, help="bare-mass sign"),
+        "contour": _Flag(str, None, _KINDS, required=True, help="contour family"),
+        "out": _OUT,
+    }),
+    ("solve", "oscillator"): _Command("quadratic-well benchmark", _run_solve_oscillator, {
+        "nmax": _nmax(4),
+        "S": _Flag(float, 10.0, help="half-width"),
+        "N": _Flag(int, 2000, help="interior grid nodes"),
+        "order": _ORDER,
+        "format": _format("json"),
+        "out": _OUT,
+    }),
 }
 
 
@@ -129,333 +291,76 @@ def load_config(path: str) -> dict:
     return data
 
 
+def _value(name: str, flag: _Flag, raw):
+    """Convert and check one flag or config-file value against its table entry."""
+    try:
+        value = flag.convert(raw)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad value for key {name}: {raw!r} ({exc})") from exc
+    if flag.choices and value not in flag.choices:
+        raise UsageError(
+            f"bad value for key {name}: {raw!r} (choose from {', '.join(flag.choices)})"
+        )
+    if isinstance(value, float) and not math.isfinite(value):
+        raise UsageError(f"parameter {name} must be finite, got {value}")
+    return value
+
+
 def _merge(command: tuple, flags: dict, file_values: dict) -> RunConfig:
-    table = _COMMANDS[command]
-    params = {}
-    for key, value in file_values.items():
+    """Flags win over file values, file values over the table's defaults."""
+    table = _COMMANDS[command].flags
+    for key in file_values:
         if key not in table:
             raise UsageError(f"unknown key: {key}")
-    for dest, (conv, default) in table.items():
-        if flags.get(dest) is not None:
-            value = flags[dest]
-        elif dest in file_values:
-            raw = file_values[dest]
-            try:
-                if conv is _BOOL:
-                    if not isinstance(raw, bool):
-                        raise ValueError("expected true/false")
-                    value = raw
-                else:
-                    value = conv(raw)
-            except (TypeError, ValueError) as exc:
-                raise UsageError(f"bad value for key {dest}: {raw!r} ({exc})") from exc
+    params = {}
+    for name, flag in table.items():
+        if flags.get(name) is not None:
+            params[name] = _value(name, flag, flags[name])
+        elif name in file_values:
+            params[name] = _value(name, flag, file_values[name])
+        elif flag.required:
+            raise UsageError(f"missing required parameter: {name}")
         else:
-            value = default
-        params[dest] = value
-    for dest in _REQUIRED.get(command, ()):
-        if params[dest] is None:
-            raise UsageError(f"missing required parameter: {dest}")
-    for dest, value in params.items():
-        if isinstance(value, float) and not math.isfinite(value):
-            raise UsageError(f"parameter {dest} must be finite, got {value}")
+            params[name] = flag.default
     return RunConfig(command=command, params=params)
-
-
-def _csv(header: str, rows) -> str:
-    return "\n".join([header] + list(rows)) + "\n"
-
-
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
-
-
-def _pick_contour(kind: str, epsilon: float, phi: float):
-    if kind in ("ushaped", "u"):
-        return UShaped(epsilon)
-    if kind in ("line", "straightline"):
-        return StraightLine(phi)
-    raise UsageError(f"unknown contour kind: {kind}")
-
-
-def _run_contour_sample(p: dict) -> str:
-    contour = _pick_contour(p["kind"], p["epsilon"], p["phi"])
-    if p["n"] < 1:
-        raise UsageError(f"n must be >= 1, got {p['n']}")
-    if not p["smax"] > p["smin"]:
-        raise UsageError("smax must exceed smin")
-    s = np.linspace(p["smin"], p["smax"], p["n"])
-    x = evaluate(contour, s)
-    dx, _ = derivatives(contour, s)
-    if p["format"] == "json":
-        rows = [
-            {
-                "s": float(si),
-                "re_x": float(xi.real),
-                "im_x": float(xi.imag),
-                "re_dx": float(di.real),
-                "im_dx": float(di.imag),
-            }
-            for si, xi, di in zip(s, x, dx)
-        ]
-        return _json_text({"rows": rows})
-    rows = (
-        f"{_fmt(si)},{_fmt(xi.real)},{_fmt(xi.imag)},{_fmt(di.real)},{_fmt(di.imag)}"
-        for si, xi, di in zip(s, x, dx)
-    )
-    return _csv("s,re_x,im_x,re_dx,im_dx", rows)
-
-
-def _run_spectrum_analytic(p: dict) -> str:
-    mass_sign = {"neg": -1, "pos": 1}.get(p["mass"])
-    if mass_sign is None:
-        raise UsageError(f"mass must be pos or neg, got {p['mass']}")
-    table = analytic.spectrum_table(p["Z"], p["L"], p["nmax"], mass_sign)
-    if p["format"] == "json":
-        rows = [
-            {"n": lv.n, "sigma": lv.sigma, "energy": lv.energy, "kappa": lv.kappa}
-            for lv in table
-        ]
-        return _json_text({"levels": rows})
-    rows = (
-        f"{lv.n},{lv.sigma},{_fmt(lv.energy)},{_fmt(lv.kappa)}" for lv in table
-    )
-    return _csv("n,sigma,energy,kappa", rows)
-
-
-def _auto_S(Z: float, L: float, nmax: int) -> float:
-    kappas = [
-        lv.kappa
-        for lv in analytic.spectrum_table(Z, L, nmax, mass_sign=-1)
-        if lv.kappa > 0
-    ]
-    if not kappas:
-        return 15.0
-    return max(15.0, solver.MIN_DECAY_LENGTHS / min(kappas))
-
-
-def _level_rows(result: solver.SpectrumResult) -> list:
-    rows = []
-    for m in result.matched:
-        rows.append(
-            {
-                "n": m.level.n,
-                "sigma": m.level.sigma,
-                "analytic": m.level.energy,
-                "numeric_re": float(m.eigenvalue.real),
-                "numeric_im": float(m.eigenvalue.imag),
-                "residual": m.residual,
-                "matched": True,
-            }
-        )
-    for u in result.unmatched:
-        rows.append(
-            {
-                "n": u.level.n,
-                "sigma": u.level.sigma,
-                "analytic": u.level.energy,
-                "numeric_re": None if u.eigenvalue is None else float(u.eigenvalue.real),
-                "numeric_im": None if u.eigenvalue is None else float(u.eigenvalue.imag),
-                "residual": None,
-                "matched": False,
-            }
-        )
-    rows.sort(key=lambda r: (r["analytic"], r["n"], r["sigma"]))
-    return rows
-
-
-def _numeric_artifact(result: solver.SpectrumResult, fmt: str) -> str:
-    order = None
-    if result.convergence is not None:
-        order = result.convergence.order_estimate
-    if fmt == "csv":
-        rows = (
-            ",".join(
-                [
-                    str(r["n"]),
-                    str(r["sigma"]),
-                    _fmt(r["analytic"]),
-                    "" if r["numeric_re"] is None else _fmt(r["numeric_re"]),
-                    "" if r["numeric_im"] is None else _fmt(r["numeric_im"]),
-                    "" if r["residual"] is None else _fmt(r["residual"]),
-                    "1" if r["matched"] else "0",
-                ]
-            )
-            for r in _level_rows(result)
-        )
-        return _csv("n,sigma,analytic,numeric_re,numeric_im,residual,matched", rows)
-    return _json_text({"levels": _level_rows(result), "order_estimate": order})
-
-
-def _run_spectrum_numeric(p: dict) -> str:
-    if p["S"] == "auto":
-        S = _auto_S(p["Z"], p["L"], p["nmax"])
-    else:
-        try:
-            S = float(p["S"])
-        except ValueError as exc:
-            raise UsageError(f"S must be a number or 'auto', got {p['S']}") from exc
-        if not math.isfinite(S):
-            raise UsageError(f"parameter S must be finite, got {S}")
-    problem = solver.BoundStateProblem(
-        contour=UShaped(p["epsilon"]),
-        potential=CoulombKratzer(p["Z"]),
-        L=p["L"],
-        mass_sign=-1,
-    )
-    grid = solver.GridSpec(S=S, N=p["N"])
-    result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])
-    return _numeric_artifact(result, p["format"])
-
-
-def _run_figure3(p: dict) -> str:
-    if p["grid_n"] < 2:
-        raise UsageError(f"grid_n must be >= 2, got {p['grid_n']}")
-    if not 0 < p["grid_min"] < p["grid_max"]:
-        raise UsageError("require 0 < grid_min < grid_max")
-    base = np.linspace(p["grid_min"], p["grid_max"], p["grid_n"])
-    # keep the collapse points visible: splice in every interior odd integer
-    odd = [
-        float(t)
-        for t in range(1, int(math.floor(p["grid_max"])) + 1, 2)
-        if p["grid_min"] < t < p["grid_max"]
-    ]
-    ts = sorted(set(float(t) for t in base) | set(odd))
-    rows_data = analytic.figure3_data(p["Z"], ts, p["nmax"])
-    if p["format"] == "json":
-        rows = [
-            {
-                "two_L_plus_1": r.two_L_plus_1,
-                "n": r.n,
-                "sigma": r.sigma,
-                "minus_kappa": r.minus_kappa,
-            }
-            for r in rows_data
-        ]
-        return _json_text({"rows": rows})
-    rows = (
-        f"{_fmt(r.two_L_plus_1)},{r.n},{r.sigma},"
-        + ("" if r.minus_kappa is None else _fmt(r.minus_kappa))
-        for r in rows_data
-    )
-    return _csv("two_L_plus_1,n,sigma,minus_kappa", rows)
-
-
-def _run_stability(p: dict) -> str:
-    sign = {"pos": 1, "neg": -1}.get(p["mass_sign"])
-    if sign is None:
-        raise UsageError(f"mass-sign must be pos or neg, got {p['mass_sign']}")
-    contour = _pick_contour(p["contour"], 1.0, 0.0)
-    verdict = stability_verdict(MassConfig(sign=sign), contour)
-    return _json_text(
-        {"bounded_below": verdict.bounded_below, "narrative": verdict.narrative}
-    )
-
-
-def _run_solve_oscillator(p: dict) -> str:
-    problem = solver.oscillator_problem()
-    grid = solver.GridSpec(S=p["S"], N=p["N"])
-    result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])
-    return _numeric_artifact(result, p["format"])
-
-
-_DISPATCH = {
-    ("contour", "sample"): _run_contour_sample,
-    ("spectrum", "analytic"): _run_spectrum_analytic,
-    ("spectrum", "numeric"): _run_spectrum_numeric,
-    ("figure3",): _run_figure3,
-    ("stability",): _run_stability,
-    ("solve", "oscillator"): _run_solve_oscillator,
-}
 
 
 def run(config: RunConfig) -> str:
     """Execute a validated configuration and return the artifact text."""
-    return _DISPATCH[config.command](config.params)
+    return _COMMANDS[config.command].runner(config.params)
 
 
 def _build_parser() -> _Parser:
+    """Flags arrive as raw text: _value checks them exactly as it checks a file."""
     top = _Parser(prog="ptspec", description=__doc__)
     sub = top.add_subparsers(dest="cmd", required=True)
-
-    def add_common(parser, command, formats=("csv", "json")):
-        table = _COMMANDS[command]
-        if "format" in table:
-            parser.add_argument("--format", choices=formats, default=None)
-        parser.add_argument("--out", default=None, metavar="PATH")
-        parser.add_argument("--config", default=None, metavar="PATH")
-
-    contour_p = sub.add_parser("contour", help="contour geometry outputs")
-    contour_sub = contour_p.add_subparsers(dest="subcmd", required=True)
-    cs = contour_sub.add_parser("sample", help="sample x(s) and x'(s) to CSV")
-    cs.add_argument("--kind", choices=["ushaped", "line"], default=None)
-    cs.add_argument("--epsilon", type=float, default=None)
-    cs.add_argument("--phi", type=float, default=None)
-    cs.add_argument("--smin", type=float, default=None)
-    cs.add_argument("--smax", type=float, default=None)
-    cs.add_argument("--n", type=int, default=None)
-    add_common(cs, ("contour", "sample"))
-
-    spectrum_p = sub.add_parser("spectrum", help="discrete spectra")
-    spectrum_sub = spectrum_p.add_subparsers(dest="subcmd", required=True)
-    sa = spectrum_sub.add_parser("analytic", help="closed-form level table")
-    sa.add_argument("--Z", type=float, default=None)
-    sa.add_argument("--L", type=float, default=None)
-    sa.add_argument("--nmax", type=int, default=None)
-    sa.add_argument("--mass", choices=["pos", "neg"], default=None)
-    add_common(sa, ("spectrum", "analytic"))
-
-    sn = spectrum_sub.add_parser("numeric", help="finite-difference validation run")
-    sn.add_argument("--Z", type=float, default=None)
-    sn.add_argument("--L", type=float, default=None)
-    sn.add_argument("--epsilon", type=float, default=None)
-    sn.add_argument("--S", default=None, help="half-width, or 'auto'")
-    sn.add_argument("--N", type=int, default=None)
-    sn.add_argument("--nmax", type=int, default=None)
-    sn.add_argument("--order", action="store_true", default=None,
-                    help="also run the halved-step grid and report the order")
-    add_common(sn, ("spectrum", "numeric"))
-
-    f3 = sub.add_parser("figure3", help="level sweep over 2L+1")
-    f3.add_argument("--Z", type=float, default=None)
-    f3.add_argument("--grid-min", dest="grid_min", type=float, default=None)
-    f3.add_argument("--grid-max", dest="grid_max", type=float, default=None)
-    f3.add_argument("--grid-n", dest="grid_n", type=int, default=None)
-    f3.add_argument("--nmax", type=int, default=None)
-    add_common(f3, ("figure3",))
-
-    st = sub.add_parser("stability", help="bounded-below verdict as JSON")
-    st.add_argument("--mass-sign", dest="mass_sign", choices=["pos", "neg"], default=None)
-    st.add_argument("--contour", choices=["ushaped", "line"], default=None)
-    add_common(st, ("stability",))
-
-    so = sub.add_parser("solve", help="solver fixtures")
-    solve_sub = so.add_subparsers(dest="subcmd", required=True)
-    osc = solve_sub.add_parser("oscillator", help="quadratic-well benchmark")
-    osc.add_argument("--nmax", type=int, default=None)
-    osc.add_argument("--S", type=float, default=None)
-    osc.add_argument("--N", type=int, default=None)
-    osc.add_argument("--order", action="store_true", default=None)
-    add_common(osc, ("solve", "oscillator"))
+    groups = {}
+    for command, spec in _COMMANDS.items():
+        parent = sub
+        if len(command) == 2:
+            if command[0] not in groups:
+                group = sub.add_parser(command[0], help=_GROUP_HELP[command[0]])
+                groups[command[0]] = group.add_subparsers(dest="subcmd", required=True)
+            parent = groups[command[0]]
+        p = parent.add_parser(command[-1], help=spec.help)
+        p.set_defaults(command=command)
+        for name, flag in spec.flags.items():
+            option = "--" + name.replace("_", "-")
+            text = flag.help + (f" {{{','.join(flag.choices)}}}" if flag.choices else "")
+            if flag.convert is _flag_bool:
+                p.add_argument(option, dest=name, action="store_true", default=None,
+                               help=text)
+            else:
+                p.add_argument(option, dest=name, help=text)
+        p.add_argument("--config", help="flat JSON object with the same keys as the flags")
     return top
-
-
-def _command_tuple(ns: argparse.Namespace) -> tuple:
-    if getattr(ns, "subcmd", None):
-        return (ns.cmd, ns.subcmd)
-    return (ns.cmd,)
 
 
 def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
-        command = _command_tuple(ns)
         file_values = load_config(ns.config) if ns.config else {}
-        flags = {
-            k: v
-            for k, v in vars(ns).items()
-            if k not in ("cmd", "subcmd", "config")
-        }
-        config = _merge(command, flags, file_values)
+        config = _merge(ns.command, vars(ns), file_values)
         artifact = run(config)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

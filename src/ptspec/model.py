@@ -189,32 +189,36 @@ def classify_asymptotics(m: MassConfig, contour: Contour, E: float) -> Asymptoti
     )
 
 
+# (bounded below, on the U path) -> narrative
+_STABILITY_NARRATIVES = {
+    (True, True): (
+        "Negative bare mass on the U path: the continuum is nonnegative "
+        "and the discrete levels accumulate at zero from below, so the "
+        "spectrum is bounded from below and the system is stable."
+    ),
+    (True, False): (
+        "Textbook kinetic term on the real line: with a confining or "
+        "decaying real potential the spectrum is bounded from below."
+    ),
+    (False, True): (
+        "Positive bare mass on the U path flips the kinetic sign along both "
+        "asymptotes: free waves exist at every negative energy, the spectrum "
+        "has no lower bound, and small perturbations destabilize the system."
+    ),
+    (False, False): (
+        "Negative bare mass on the real line flips the kinetic sign: free "
+        "waves exist at every negative energy and the spectrum has no lower "
+        "bound."
+    ),
+}
+
+
 def stability_verdict(m: MassConfig, contour: Contour) -> StabilityVerdict:
-    """Decide whether the spectrum is bounded from below for this geometry."""
-    effective = m.sign * _kinetic_orientation(contour)
-    if effective > 0:
-        if isinstance(contour, UShaped):
-            narrative = (
-                "Negative bare mass on the U path: the continuum is nonnegative "
-                "and the discrete levels accumulate at zero from below, so the "
-                "spectrum is bounded from below and the system is stable."
-            )
-        else:
-            narrative = (
-                "Textbook kinetic term on the real line: with a confining or "
-                "decaying real potential the spectrum is bounded from below."
-            )
-        return StabilityVerdict(bounded_below=True, narrative=narrative)
-    if isinstance(contour, UShaped):
-        narrative = (
-            "Positive bare mass on the U path flips the kinetic sign along both "
-            "asymptotes: free waves exist at every negative energy, the spectrum "
-            "has no lower bound, and small perturbations destabilize the system."
-        )
-    else:
-        narrative = (
-            "Negative bare mass on the real line flips the kinetic sign: free "
-            "waves exist at every negative energy and the spectrum has no lower "
-            "bound."
-        )
-    return StabilityVerdict(bounded_below=False, narrative=narrative)
+    """Decide whether the spectrum is bounded from below for this geometry.
+
+    It is exactly when negative energies carry a decaying asymptotic pair,
+    not free waves.
+    """
+    bounded = classify_asymptotics(m, contour, -1.0).behavior == DECAYING_PAIR
+    narrative = _STABILITY_NARRATIVES[bounded, isinstance(contour, UShaped)]
+    return StabilityVerdict(bounded_below=bounded, narrative=narrative)

@@ -73,6 +73,7 @@ __all__ = [
     "eigenvector_asymptotics",
     "positive_mass_instability_probe",
     "dense_ceiling",
+    "auto_box",
 ]
 
 DENSE_CEILING_DEFAULT = 2000
@@ -81,6 +82,7 @@ INVERSE_ITERATION_CAP = 200
 MATCH_ABS_TOL = 1e-3
 SPURIOUS_RATE_FRACTION = 0.05
 MIN_DECAY_LENGTHS = 3.0  # seed a level only when S >= 3 / kappa
+MIN_AUTO_BOX = 15.0
 _START_SEED = 0x5EED
 
 
@@ -141,7 +143,7 @@ class DiscretizedOperator:
     diag: np.ndarray
     sub: np.ndarray
     sup: np.ndarray
-    meta: Optional[dict] = None
+    shifted: bool = False  # nodes moved half a step off a contour junction
 
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=complex))
@@ -261,21 +263,7 @@ def discretize(
     diag = mass_sign * (w_node * (w_mid[1:] + w_mid[:-1]) / h2 + coeff)
     sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
     sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
-    return DiscretizedOperator(
-        diag=diag,
-        sub=sub,
-        sup=sup,
-        meta={
-            "contour": contour,
-            "potential": potential,
-            "L": L,
-            "mass_sign": mass_sign,
-            "grid": grid,
-            "shifted": shifted,
-            "s_nodes": s,
-            "x_nodes": x,
-        },
-    )
+    return DiscretizedOperator(diag=diag, sub=sub, sup=sup, shifted=shifted)
 
 
 def dense_ceiling(override: Optional[int] = None) -> int:
@@ -472,41 +460,53 @@ class SpectrumResult:
     convergence: Optional[TwoGridConvergence] = None
 
 
-def _seed_levels(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> tuple:
-    """(levels to seed, whether the tail filter applies)."""
-    osc = (
-        isinstance(problem.potential, BenderBoettcher)
-        and problem.potential.delta == 0.0
-        and isinstance(problem.contour, StraightLine)
-        and problem.contour.phi == 0.0
+def auto_box(Z: float, L: float, n_max: int) -> float:
+    """Half-width S that seeds every negative-mass level up to n_max.
+
+    The largest of MIN_AUTO_BOX and MIN_DECAY_LENGTHS / kappa over the levels,
+    so that the seeding rule in _seeds admits each of them.
+    """
+    table = analytic.spectrum_table(Z, L, n_max, mass_sign=-1)
+    return max([MIN_AUTO_BOX] + [MIN_DECAY_LENGTHS / lv.kappa for lv in table if lv.kappa > 0])
+
+
+def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
+    """(level, host potential) pairs to search, in closed-form table order.
+
+    A Coulomb-Kratzer level is seeded only when S >= MIN_DECAY_LENGTHS / kappa,
+    and is hosted by the coupling sign under which it decays (_host_coupling).
+    """
+    p, contour, L = problem.potential, problem.contour, problem.L
+    if (
+        isinstance(p, BenderBoettcher)
+        and p.delta == 0.0
+        and isinstance(contour, StraightLine)
+        and contour.phi == 0.0
         and problem.mass_sign == 1
-        and problem.L * (problem.L + 1.0) == 0.0
-    )
-    if osc:
-        seeds = [
-            Level(n=n, sigma=1, energy=float(2 * n + 1), kappa=math.sqrt(2 * n + 1))
+        and L * (L + 1.0) == 0.0
+    ):
+        return [
+            (Level(n=n, sigma=1, energy=float(2 * n + 1), kappa=math.sqrt(2 * n + 1)), p)
             for n in range(n_max + 1)
         ]
-        return seeds, False
-    ck = (
-        isinstance(problem.potential, CoulombKratzer)
-        and isinstance(problem.contour, UShaped)
+    if not (
+        isinstance(p, CoulombKratzer)
+        and isinstance(contour, UShaped)
         and problem.mass_sign == -1
-    )
-    if not ck:
+    ):
         raise UnsupportedGeometry(
             "bound-state search supports the negative-mass Coulomb-Kratzer model "
             "on the U path and the oscillator benchmark only"
         )
-    if problem.potential.F != 0.0:
+    if p.F != 0.0:
         raise DomainError(
             "fold the 1/x^2 coupling into L before solving; keep potential.F = 0"
         )
-    table = analytic.spectrum_table(problem.potential.Z, problem.L, n_max, mass_sign=-1)
-    seeds = [
-        lv for lv in table if lv.kappa > 0 and MIN_DECAY_LENGTHS / lv.kappa <= grid.S
+    return [
+        (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv), F=0.0))
+        for lv in analytic.spectrum_table(p.Z, L, n_max, mass_sign=-1)
+        if lv.kappa > 0 and MIN_DECAY_LENGTHS / lv.kappa <= grid.S
     ]
-    return seeds, True
 
 
 def _host_coupling(Z: float, L: float, lv: Level) -> float:
@@ -540,30 +540,20 @@ def find_bound_states(
     run is repeated at h/2 and per-level error ratios and a Richardson order
     estimate are attached.
     """
-    seeds, tail_filter = _seed_levels(problem, grid, n_max)
+    seeds = _seeds(problem, grid, n_max)
+    tail_filter = isinstance(problem.potential, CoulombKratzer)
     h = grid.h
-
-    operators = {}
-
-    def _operator_for(lv: Level) -> DiscretizedOperator:
-        if not tail_filter:  # oscillator benchmark: one operator
-            key = 0.0
-            potential = problem.potential
-        else:
-            key = _host_coupling(problem.potential.Z, problem.L, lv)
-            potential = CoulombKratzer(Z=key, F=0.0)
-        if key not in operators:
-            operators[key] = discretize(
-                problem.contour, potential, problem.L, problem.mass_sign, grid
-            )
-        return operators[key]
+    operators = {
+        host: discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+        for host in dict.fromkeys(host for _, host in seeds)
+    }
 
     eigenvalues = []
     matched = []
     unmatched = []
-    for lv in seeds:
+    for lv, host in seeds:
         try:
-            res = targeted_eigenvalue(_operator_for(lv), lv.energy)
+            res = targeted_eigenvalue(operators[host], lv.energy)
         except ConvergenceFailure as exc:
             unmatched.append(UnmatchedSeed(level=lv, reason=f"no convergence: {exc}"))
             continue

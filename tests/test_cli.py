@@ -239,6 +239,31 @@ class TestConfigFile:
         assert code == 1
         assert "finite" in err
 
+    def test_format_outside_choices(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"format": "xml"}))
+        code, out, err = run_cli(
+            capsys, "spectrum", "analytic", "--config", str(cfg), "--L", "0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "bad value for key format" in err
+
+    @pytest.mark.parametrize("kind", ["u", "straightline"])
+    @pytest.mark.parametrize(
+        "argv,key",
+        [(("stability", "--mass-sign", "neg"), "contour"), (("contour", "sample"), "kind")],
+    )
+    def test_contour_kind_checked_as_the_flag_is(self, capsys, tmp_path, argv, key, kind):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: kind}))
+        code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert f"bad value for key {key}" in err
+        code, _, _ = run_cli(capsys, *argv, "--" + key, kind)
+        assert code == 1
+
 
 class TestDeterminismAndOutput:
     def test_byte_identical_repeat(self, capsys):

@@ -97,7 +97,7 @@ class TestDiscretize:
             discretize(UShaped(eps), CoulombKratzer(1.0), 0.3, -1, grid_err)
         grid_ok = GridSpec(S=10.0, N=19, offset=True)
         op = discretize(UShaped(eps), CoulombKratzer(1.0), 0.3, -1, grid_ok)
-        assert op.meta["shifted"] is True
+        assert op.shifted is True
 
     def test_mass_sign_flips_whole_operator(self):
         g = GridSpec(12.0, 128)
