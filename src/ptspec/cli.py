@@ -157,6 +157,9 @@ def _run_solve_oscillator(p: dict) -> str:
 
 # ---------------------------------------------------------------------------
 # The flag table: the one source of every flag and config-file key.
+# Flags arrive as text, config-file values as JSON scalars; the converters
+# hold a file value to what the flag accepts: text for text, no true/false
+# for a number, no fraction for an integer.
 
 
 def _flag_bool(raw) -> bool:
@@ -165,12 +168,30 @@ def _flag_bool(raw) -> bool:
     return raw
 
 
+def _text(raw) -> str:
+    if not isinstance(raw, str):
+        raise ValueError("expected text")
+    return raw
+
+
+def _int(raw) -> int:
+    if isinstance(raw, bool) or (isinstance(raw, float) and not raw.is_integer()):
+        raise ValueError("expected an integer")
+    return int(raw)
+
+
+def _float(raw) -> float:
+    if isinstance(raw, bool):
+        raise ValueError("expected a number")
+    return float(raw)
+
+
 def _box_width(raw):
     """A half-width S, or 'auto' to let solver.auto_box choose it."""
     if raw == "auto":
         return raw
     try:
-        return float(raw)
+        return _float(raw)
     except (TypeError, ValueError):
         raise ValueError("expected a number or 'auto'") from None
 
@@ -196,29 +217,29 @@ _GROUP_HELP = {
     "spectrum": "discrete spectra",
     "solve": "solver fixtures",
 }
-_OUT = _Flag(str, help="write the artifact here instead of standard output")
-_Z = _Flag(float, 1.0, help="Coulomb coupling Z")
-_L = _Flag(float, required=True, help="effective angular momentum L (not an integer)")
-_EPSILON = _Flag(float, 1.0, help="U-path width")
+_OUT = _Flag(_text, help="write the artifact here instead of standard output")
+_Z = _Flag(_float, 1.0, help="Coulomb coupling Z")
+_L = _Flag(_float, required=True, help="effective angular momentum L (not an integer)")
+_EPSILON = _Flag(_float, 1.0, help="U-path width")
 _ORDER = _Flag(_flag_bool, False, help="also run the halved-step grid and report the order")
 
 
 def _format(default: str) -> _Flag:
-    return _Flag(str, default, ("csv", "json"), help="artifact format")
+    return _Flag(_text, default, ("csv", "json"), help="artifact format")
 
 
 def _nmax(default: int) -> _Flag:
-    return _Flag(int, default, help="highest level index n")
+    return _Flag(_int, default, help="highest level index n")
 
 
 _COMMANDS = {
     ("contour", "sample"): _Command("sample x(s) and x'(s) to CSV", _run_contour_sample, {
-        "kind": _Flag(str, "ushaped", _KINDS, help="contour family"),
+        "kind": _Flag(_text, "ushaped", _KINDS, help="contour family"),
         "epsilon": _EPSILON,
-        "phi": _Flag(float, 0.0, help="straight-line angle phi"),
-        "smin": _Flag(float, -10.0, help="first path parameter"),
-        "smax": _Flag(float, 10.0, help="last path parameter"),
-        "n": _Flag(int, 400, help="number of samples"),
+        "phi": _Flag(_float, 0.0, help="straight-line angle phi"),
+        "smin": _Flag(_float, -10.0, help="first path parameter"),
+        "smax": _Flag(_float, 10.0, help="last path parameter"),
+        "n": _Flag(_int, 400, help="number of samples"),
         "format": _format("csv"),
         "out": _OUT,
     }),
@@ -226,7 +247,7 @@ _COMMANDS = {
         "Z": _Z,
         "L": _L,
         "nmax": _nmax(4),
-        "mass": _Flag(str, "neg", tuple(_SIGN), help="bare-mass sign"),
+        "mass": _Flag(_text, "neg", tuple(_SIGN), help="bare-mass sign"),
         "format": _format("csv"),
         "out": _OUT,
     }),
@@ -236,7 +257,7 @@ _COMMANDS = {
             "L": _L,
             "epsilon": _EPSILON,
             "S": _Flag(_box_width, "auto", help="half-width, or 'auto'"),
-            "N": _Flag(int, 4000, help="interior grid nodes"),
+            "N": _Flag(_int, 4000, help="interior grid nodes"),
             "nmax": _nmax(2),
             "order": _ORDER,
             "format": _format("json"),
@@ -244,22 +265,22 @@ _COMMANDS = {
         }),
     ("figure3",): _Command("level sweep over 2L+1", _run_figure3, {
         "Z": _Z,
-        "grid_min": _Flag(float, 0.05, help="smallest 2L+1"),
-        "grid_max": _Flag(float, 6.0, help="largest 2L+1"),
-        "grid_n": _Flag(int, 400, help="uniform samples of 2L+1"),
+        "grid_min": _Flag(_float, 0.05, help="smallest 2L+1"),
+        "grid_max": _Flag(_float, 6.0, help="largest 2L+1"),
+        "grid_n": _Flag(_int, 400, help="uniform samples of 2L+1"),
         "nmax": _nmax(4),
         "format": _format("csv"),
         "out": _OUT,
     }),
     ("stability",): _Command("bounded-below verdict as JSON", _run_stability, {
-        "mass_sign": _Flag(str, None, tuple(_SIGN), required=True, help="bare-mass sign"),
-        "contour": _Flag(str, None, _KINDS, required=True, help="contour family"),
+        "mass_sign": _Flag(_text, None, tuple(_SIGN), required=True, help="bare-mass sign"),
+        "contour": _Flag(_text, None, _KINDS, required=True, help="contour family"),
         "out": _OUT,
     }),
     ("solve", "oscillator"): _Command("quadratic-well benchmark", _run_solve_oscillator, {
         "nmax": _nmax(4),
-        "S": _Flag(float, 10.0, help="half-width"),
-        "N": _Flag(int, 2000, help="interior grid nodes"),
+        "S": _Flag(_float, 10.0, help="half-width"),
+        "N": _Flag(_int, 2000, help="interior grid nodes"),
         "order": _ORDER,
         "format": _format("json"),
         "out": _OUT,

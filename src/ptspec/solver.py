@@ -34,7 +34,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from . import analytic
 from .analytic import Level
@@ -291,6 +290,8 @@ def full_spectrum(op: DiscretizedOperator, ceiling: Optional[int] = None) -> np.
         )
     if n == 0:
         return np.empty(0, dtype=complex)
+    import scipy.linalg  # deferred: closed-form commands start without scipy
+
     try:
         if (
             n == 1
@@ -322,16 +323,21 @@ class TargetedResult:
 
 
 def _band_factor(op: DiscretizedOperator, shift: complex):
-    """LU factorization with partial pivoting of (op - shift*I) in band storage."""
+    """LU factorization with partial pivoting of (op - shift*I) in band storage.
+
+    Returns the factors, pivots, LAPACK info and the matching gbtrs solver.
+    """
+    from scipy.linalg import get_lapack_funcs  # deferred: see full_spectrum
+
     n = op.size
     ab = np.zeros((4, n), dtype=complex)  # 2*kl + ku + 1 rows for kl = ku = 1
     ab[2, :] = op.diag - shift
     if n > 1:
         ab[1, 1:] = op.sup
         ab[3, :-1] = op.sub
-    gbtrf, = scipy.linalg.get_lapack_funcs(("gbtrf",), (ab,))
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
     lu, piv, info = gbtrf(ab, 1, 1)
-    return lu, piv, info
+    return lu, piv, info, gbtrs
 
 
 def targeted_eigenvalue(
@@ -352,14 +358,13 @@ def targeted_eigenvalue(
     n = op.size
     if n == 0:
         raise DomainError("empty operator")
-    lu, piv, info = _band_factor(op, shift)
+    lu, piv, info, gbtrs = _band_factor(op, shift)
     if info > 0:
         # shift is an exact eigenvalue: nudge it off the singularity and refactor
         shift = shift + 1e-12 * (1.0 + abs(shift))
-        lu, piv, info = _band_factor(op, shift)
+        lu, piv, info, gbtrs = _band_factor(op, shift)
     if info != 0:
         raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
-    gbtrs, = scipy.linalg.get_lapack_funcs(("gbtrs",), (lu,))
 
     rng = np.random.default_rng(_START_SEED)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)

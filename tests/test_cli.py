@@ -1,9 +1,16 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ptspec.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_cli(capsys, *argv):
@@ -239,6 +246,30 @@ class TestConfigFile:
         assert code == 1
         assert "finite" in err
 
+    @pytest.mark.parametrize("value", [None, 5, True])
+    def test_out_must_be_text(self, capsys, tmp_path, monkeypatch, value):
+        monkeypatch.chdir(tmp_path)  # a stray output file would land here
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"out": value}))
+        code, out, err = run_cli(
+            capsys, "spectrum", "analytic", "--config", str(cfg), "--L", "0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert "bad value for key out" in err
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    @pytest.mark.parametrize("key,value", [("nmax", 4.7), ("nmax", True), ("Z", True)])
+    def test_numbers_checked_as_the_flag_is(self, capsys, tmp_path, key, value):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({key: value}))
+        code, out, err = run_cli(
+            capsys, "spectrum", "analytic", "--config", str(cfg), "--L", "0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert f"bad value for key {key}" in err
+
     def test_format_outside_choices(self, capsys, tmp_path):
         cfg = tmp_path / "run.json"
         cfg.write_text(json.dumps({"format": "xml"}))
@@ -281,3 +312,37 @@ class TestDeterminismAndOutput:
         content = target.read_text()
         assert content.startswith("s,re_x,im_x,re_dx,im_dx")
         assert len(content.strip().split("\n")) == 11
+
+
+def test_closed_form_commands_never_load_scipy():
+    """Cold start: the closed-form commands and `import ptspec` need only numpy.
+
+    Runs in a fresh interpreter, since this test process has scipy loaded.  The
+    final solve shows that the check sees scipy when a command does load it.
+    """
+    script = textwrap.dedent("""
+        import contextlib, io, sys
+        import ptspec, ptspec.cli
+
+        def scipy_modules():
+            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
+
+        commands = [
+            "contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400",
+            "spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv",
+            "figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400",
+            "stability --mass-sign neg --contour ushaped",
+        ]
+        for command in commands:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ptspec.cli.main(command.split()) == 0, command
+        assert not scipy_modules(), scipy_modules()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ptspec.cli.main("solve oscillator --nmax 0 --N 16".split()) == 0
+        assert "scipy.linalg" in sys.modules
+    """)
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
