@@ -31,6 +31,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -168,6 +169,18 @@ class DiscretizedOperator:
             out[1:] += self.sub * v[:-1]
             out[:-1] += self.sup * v[1:]
         return out
+
+    @cached_property
+    def norm_inf(self) -> float:
+        """Largest absolute row sum, max_i |diag_i| + |sub_{i-1}| + |sup_i|.
+
+        Cached: find_bound_states targets several seeds on one operator.
+        """
+        rows = np.abs(self.diag)
+        if self.size > 1:
+            rows[1:] += np.abs(self.sub)
+            rows[:-1] += np.abs(self.sup)
+        return float(rows.max())
 
     def pt_defect(self) -> float:
         """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
@@ -351,13 +364,18 @@ def targeted_eigenvalue(
     One banded LU factorization of (op - shift*I), then O(N) solves per
     iteration.  The eigenvalue estimate is the Rayleigh quotient of the
     current iterate; convergence is declared when the 2-norm residual
-    ||op v - lambda v|| drops below tol * max(1, |lambda|).  The returned
-    eigenvector has unit norm and its first significant component is made
-    real positive, which pins the overall phase across repeated runs.
+    ||op v - lambda v|| drops to max(tol * max(1, |lambda|), eps * ||op||_inf).
+    The second term is the rounding floor, below which the computed residual
+    of a unit vector is noise (backward-error stopping criterion; Higham,
+    Accuracy and Stability of Numerical Algorithms, 2002); it grows like
+    4/h^2, so only fine grids stop on it.  The returned eigenvector has unit
+    norm and its first significant component is made real positive, which
+    pins the overall phase across repeated runs.
     """
     n = op.size
     if n == 0:
         raise DomainError("empty operator")
+    floor = np.finfo(float).eps * op.norm_inf
     lu, piv, info, gbtrs = _band_factor(op, shift)
     if info > 0:
         # shift is an exact eigenvalue: nudge it off the singularity and refactor
@@ -383,12 +401,13 @@ def targeted_eigenvalue(
         hv = op.matvec(v)
         lam = complex(np.vdot(v, hv))
         residual = float(np.linalg.norm(hv - lam * v))
-        if residual <= tol * max(1.0, abs(lam)):
+        if residual <= max(tol * max(1.0, abs(lam)), floor):
             break
     else:
         raise ConvergenceFailure(
             f"inverse iteration did not converge in {max_iter} steps "
-            f"(final residual {residual:.3e})",
+            f"(final residual {residual:.1e}; tolerance "
+            f"{tol * max(1.0, abs(lam)):.1e}, rounding floor {floor:.1e})",
             residual=residual,
             iterations=max_iter,
         )
@@ -538,11 +557,15 @@ def find_bound_states(
     Levels whose decay length 1/kappa exceeds S/3 are not seeded (the
     Dirichlet truncation error would dominate them).  Each level is targeted
     in the coupling-sign convention that hosts its decaying eigenfunction
-    (see _host_coupling); the sign change is spectrally inessential.  A
-    numeric eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|);
-    matches whose eigenvector tails do not decay (both fitted rates below 5%
-    of kappa) are discarded as continuum artifacts.  With two_grid=True the
-    run is repeated at h/2 and per-level error ratios and a Richardson order
+    (see _host_coupling); the sign change is spectrally inessential.  Each
+    search stops at the residual max(1e-10 * max(1, |lambda|),
+    eps * ||H||_inf) (see targeted_eigenvalue), so fine grids do not lose
+    seeds to the rounding floor; one that still hits the iteration cap is
+    unmatched with reason "no convergence: ...".  A numeric eigenvalue
+    matches its seed when |delta| <= max(1e-3, 5 h^2 |E|); matches whose
+    eigenvector tails do not decay (both fitted rates below 5% of kappa)
+    are discarded as continuum artifacts.  With two_grid=True the run is
+    repeated at h/2 and per-level error ratios and a Richardson order
     estimate are attached.
     """
     seeds = _seeds(problem, grid, n_max)

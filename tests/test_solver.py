@@ -18,6 +18,7 @@ from ptspec.solver import (
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
+    auto_box,
     discretize,
     eigenvector_asymptotics,
     find_bound_states,
@@ -206,9 +207,39 @@ class TestTargeted:
     def test_convergence_failure_reports_residual(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
         with pytest.raises(ConvergenceFailure) as excinfo:
-            targeted_eigenvalue(op, DEEP, tol=1e-30, max_iter=5)
+            targeted_eigenvalue(op, DEEP, tol=1e-30, max_iter=2)
         assert excinfo.value.residual is not None
-        assert excinfo.value.iterations == 5
+        assert excinfo.value.iterations == 2
+        assert "rounding floor" in str(excinfo.value)
+
+    def test_unreachable_tolerance_stops_at_rounding_floor(self):
+        op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
+        row_sum = np.abs(op.to_dense()).sum(axis=1).max()
+        assert op.norm_inf == pytest.approx(row_sum, rel=1e-14)
+        floor = np.finfo(float).eps * row_sum
+        res = targeted_eigenvalue(op, DEEP, tol=1e-30, max_iter=1000)
+        assert res.residual <= floor
+        assert res.iterations < 1000
+
+    @pytest.mark.parametrize(
+        "problem, grid",
+        [
+            (ck_problem(Z), grid)
+            for Z in (1.0, -1.0)  # both host coupling signs
+            for grid in (
+                GridSpec(15.0, 4000),  # acceptance grids
+                GridSpec(30.0, 8000),
+                GridSpec(auto_box(1.0, 0.3, 2), 4000),  # --S auto golden
+                GridSpec(auto_box(1.0, 0.3, 2), 8001),  # and its --order grid
+            )
+        ]
+        + [(oscillator_problem(), GridSpec(10.0, N)) for N in (2000, 4001)],
+    )
+    def test_rounding_floor_below_tolerance_on_reference_grids(self, problem, grid):
+        # there the stopping rule reduces to tol * max(1, |lambda|), as before
+        # the floor term existed, so the outputs on these grids cannot move
+        op = discretize(problem.contour, problem.potential, problem.L, problem.mass_sign, grid)
+        assert np.finfo(float).eps * op.norm_inf < 1e-10
 
 
 class TestEigenvectorAsymptotics:
@@ -294,6 +325,21 @@ class TestFindBoundStates:
         assert conv.h_fine == pytest.approx(conv.h_coarse / 2)
         ratio = conv.error_ratios[(0, -1)]
         assert 3.0 <= ratio <= 5.0
+
+    def test_finer_grid_keeps_matched_levels(self):
+        # at h ~ 1.3e-3 the residual floor eps * ||H|| exceeds 1e-10; seeds
+        # must stop there instead of burning the iteration cap
+        coarse_grid = GridSpec(30.0, 22627)
+        res = find_bound_states(ck_problem(), coarse_grid, n_max=2, two_grid=True)
+        fine_grid = GridSpec(30.0, 2 * coarse_grid.N + 1)
+        fine = find_bound_states(ck_problem(), fine_grid, n_max=2)
+        for run in (res, fine):
+            reasons = [u.reason for u in run.unmatched]
+            assert not [r for r in reasons if r.startswith("no convergence")], reasons
+        coarse_keys = {(m.level.n, m.level.sigma) for m in res.matched}
+        assert coarse_keys
+        assert coarse_keys <= {(m.level.n, m.level.sigma) for m in fine.matched}
+        assert set(res.convergence.error_ratios) == coarse_keys
 
     def test_eigenvalues_in_seed_order(self):
         res = find_bound_states(ck_problem(), GridSpec(30.0, 2000), n_max=1)
