@@ -141,6 +141,29 @@ def test_A6_stability_truth_table_and_probe():
     )
 
 
+def test_A6_h_refinement_probe():
+    # at fixed S the positive-mass edge runs off like -4/h^2: each halving of
+    # h (N = 2N+1) multiplies it by ~4; N = 3999 is past the dense ceiling
+    probe = positive_mass_instability_probe(
+        grids=tuple((15.0, N) for N in (499, 999, 1999, 3999))
+    )
+    edges = [rec["min_real"] for rec in probe]
+    ratios = [b / a for a, b in zip(edges, edges[1:])]
+    scaled = [
+        rec["min_real"] * GridSpec(rec["S"], rec["N"]).h ** 2 / -4.0 for rec in probe
+    ]
+    ok = all(3.9 <= r <= 4.1 for r in ratios) and all(0.999 <= c <= 1.0 for c in scaled)
+    _report(
+        "A6h",
+        ok,
+        "edge ratios as h halves at S=15 "
+        + ", ".join(f"{r:.4f}" for r in ratios)
+        + " (required within [3.9, 4.1]); min Re h^2/(-4) "
+        + ", ".join(f"{c:.6f}" for c in scaled)
+        + " (required within [0.999, 1])",
+    )
+
+
 def test_A7_figure3_regeneration(capsys):
     code = cli.main(["figure3", "--Z", "1"])
     out = capsys.readouterr().out

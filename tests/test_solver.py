@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from ptspec.analytic import Level
 from ptspec.contour import StraightLine, UShaped
@@ -351,6 +353,35 @@ class TestFindBoundStates:
 def test_instability_probe_trend():
     probe = positive_mass_instability_probe(grids=((8.0, 299), (16.0, 599)))
     assert probe[1]["min_real"] < probe[0]["min_real"]
+
+
+class TestInstabilityProbeEdge:
+    """The probe's O(N) spectral edge against the dense spectrum."""
+
+    @given(
+        Z=st.floats(min_value=0.5, max_value=2.0),
+        L=st.floats(min_value=-0.45, max_value=2.4, exclude_min=True, exclude_max=True),
+        epsilon=st.floats(min_value=0.5, max_value=1.5),
+        S=st.floats(min_value=5.0, max_value=30.0),
+        N=st.sampled_from([99, 151, 299]),
+    )
+    @example(Z=1.0, L=0.3, epsilon=1.0, S=15.0, N=499)  # the A6 grid
+    @settings(max_examples=40, deadline=None)
+    def test_edge_matches_dense_spectrum(self, Z, L, epsilon, S, N):
+        assume(abs(L - round(L)) > 1e-6)
+        (record,) = positive_mass_instability_probe(Z, L, epsilon, grids=((S, N),))
+        op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, 1, GridSpec(S, N))
+        dense = full_spectrum(op).real.min()
+        assert record["min_real"] == pytest.approx(dense, rel=1e-9)
+        # the shift is the Gershgorin bound, left of every eigenvalue
+        assert record["min_real"] >= -op.norm_inf
+
+    def test_gives_up_at_the_iteration_cap(self, monkeypatch):
+        # a coarse wide box crowds the edge eigenvalues: one Arnoldi pass is short
+        monkeypatch.setattr("ptspec.solver.INVERSE_ITERATION_CAP", 1)
+        with pytest.raises(ConvergenceFailure) as info:
+            positive_mass_instability_probe(1.0, 2.2, 0.5, grids=((30.0, 99),))
+        assert info.value.iterations == 1
 
 
 def test_conjugation_closure_moderate_grids():
