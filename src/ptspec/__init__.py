@@ -45,7 +45,6 @@ from .model import (
     StabilityVerdict,
     classify_asymptotics,
     effective_L,
-    effective_mass,
     evaluate_potential,
     stability_verdict,
 )

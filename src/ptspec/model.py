@@ -27,7 +27,6 @@ __all__ = [
     "PLANE_WAVE_PAIR",
     "evaluate_potential",
     "effective_L",
-    "effective_mass",
     "classify_asymptotics",
     "stability_verdict",
 ]
@@ -62,16 +61,13 @@ Potential = CoulombKratzer | BenderBoettcher
 
 @dataclass(frozen=True)
 class MassConfig:
-    """Bare-mass sign and the scale 2|m|/hbar^2 (1.0 in internal units)."""
+    """Bare-mass sign; the magnitude is fixed by the internal units, |m| = 1/2."""
 
     sign: int = 1
-    scale: float = 1.0
 
     def __post_init__(self):
         if self.sign not in (1, -1):
             raise DomainError(f"mass sign must be +1 or -1, got {self.sign}")
-        if not self.scale > 0:
-            raise DomainError(f"mass scale must be > 0, got {self.scale}")
 
 
 @dataclass(frozen=True)
@@ -151,16 +147,13 @@ def effective_L(ell: int, F: float) -> AngularMomentum:
     return AngularMomentum(ell=int(ell), L=-0.5 + math.sqrt(disc))
 
 
-def effective_mass(m: MassConfig, phi: float, s_sign: int) -> complex:
-    """Direction-dependent complex mass exp(+/-2i*phi) * m along the asymptotes."""
-    if s_sign not in (1, -1):
-        raise DomainError(f"s_sign must be +1 or -1, got {s_sign}")
-    bare = m.sign * m.scale * 0.5  # hbar = 1
-    return complex(np.exp(2j * phi * s_sign) * bare)
-
-
 def _kinetic_orientation(contour: Contour) -> int:
-    """+1 where the asymptotic kinetic term keeps its textbook sign, -1 where it flips."""
+    """+1 where the asymptotic kinetic term keeps its textbook sign, -1 where it flips.
+
+    It is exp(2i*phi) for asymptotes at angle phi (pi/2 on the U path, 0 on
+    the real line), so times the bare-mass sign it is the sign of the
+    asymptotic effective mass exp(2i*phi) * m.
+    """
     if isinstance(contour, UShaped):
         return -1
     if isinstance(contour, StraightLine) and contour.phi == 0.0:

@@ -29,7 +29,6 @@ identity of PT-symmetric inputs exact in floating point.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -72,12 +71,10 @@ __all__ = [
     "find_bound_states",
     "eigenvector_asymptotics",
     "positive_mass_instability_probe",
-    "dense_ceiling",
     "auto_box",
 ]
 
-DENSE_CEILING_DEFAULT = 2000
-DENSE_CEILING_ENV = "PTSPEC_DENSE_CEILING"
+DENSE_CEILING = 2000  # largest size full_spectrum accepts
 INVERSE_ITERATION_CAP = 200
 RESIDUAL_TOL = 1e-10  # relative part of the stopping rule, see _residual_bound
 EDGE_BLOCK = 4  # two conjugate pairs at the left edge, see _spectral_edge
@@ -90,16 +87,10 @@ _START_SEED = 0x5EED
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-S, S]: N interior nodes, step h = 2S/(N+1), Dirichlet ends.
-
-    offset allows a half-step shift of all nodes when one would otherwise
-    coincide with a contour junction.  The shift sacrifices the exact mirror
-    symmetry of the node set, so it is applied only on collision.
-    """
+    """Uniform grid on [-S, S]: N interior nodes, step h = 2S/(N+1), Dirichlet ends."""
 
     S: float
     N: int
-    offset: bool = True
 
     def __post_init__(self):
         if not self.S > 0:
@@ -111,20 +102,17 @@ class GridSpec:
     def h(self) -> float:
         return 2.0 * self.S / (self.N + 1)
 
-    def nodes(self, shifted: bool = False) -> np.ndarray:
-        h = self.h
-        s = -self.S + h * np.arange(1, self.N + 1)
-        if shifted:
-            return s + 0.5 * h
+    def nodes(self) -> np.ndarray:
+        s = -self.S + self.h * np.arange(1, self.N + 1)
         return _mirrored(s)
 
-    def midpoints(self, shifted: bool = False) -> np.ndarray:
+    def midpoints(self) -> np.ndarray:
         """The N+1 cell midpoints bracketing the nodes."""
-        s = self.nodes(shifted=shifted)
+        s = self.nodes()
         m = np.empty(self.N + 1)
         m[0] = s[0] - 0.5 * self.h
         m[1:] = s + 0.5 * self.h
-        return m if shifted else _mirrored(m)
+        return _mirrored(m)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:
@@ -145,7 +133,6 @@ class DiscretizedOperator:
     diag: np.ndarray
     sub: np.ndarray
     sup: np.ndarray
-    shifted: bool = False  # nodes moved half a step off a contour junction
 
     def __post_init__(self):
         object.__setattr__(self, "diag", np.asarray(self.diag, dtype=complex))
@@ -215,13 +202,6 @@ def oscillator_problem() -> BoundStateProblem:
     )
 
 
-def _junction_collision(contour: Contour, s: np.ndarray, grid: GridSpec) -> bool:
-    if not isinstance(contour, UShaped):
-        return False
-    tol = 1e-12 * max(1.0, grid.S)
-    return bool(np.any(np.abs(np.abs(s) - contour.junction) < tol))
-
-
 def discretize(
     contour: Contour,
     potential: Potential,
@@ -232,9 +212,10 @@ def discretize(
     """Assemble the tridiagonal operator for the given model on the grid.
 
     Fold any 1/x^2 coupling into L before calling; the potential argument
-    should then carry only the remaining terms.  Raises GeometryError for
-    the width-zero contour or an unavoidable junction/node collision, and
-    SingularL for a Coulomb-Kratzer run at integer L.
+    should then carry only the remaining terms.  A node may sit on a U-path
+    junction: x' is continuous there and x'' is never sampled.  Raises
+    GeometryError for the width-zero contour and SingularL for a
+    Coulomb-Kratzer run at integer L.
     """
     if mass_sign not in (1, -1):
         raise DomainError(f"mass_sign must be +1 or -1, got {mass_sign}")
@@ -247,20 +228,9 @@ def discretize(
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
     s = grid.nodes()
-    shifted = False
-    if _junction_collision(contour, s, grid):
-        if not grid.offset:
-            raise GeometryError(
-                "grid node coincides with a contour junction; enable offset"
-            )
-        s = grid.nodes(shifted=True)
-        shifted = True
-        if _junction_collision(contour, s, grid):
-            raise GeometryError("junction collision persists after half-step shift")
-
     x = evaluate(contour, s)
     xp, _ = derivatives(contour, s)
-    xp_mid, _ = derivatives(contour, grid.midpoints(shifted=shifted))
+    xp_mid, _ = derivatives(contour, grid.midpoints())
     w_node = 1.0 / xp  # 1/x' at the nodes
     w_mid = 1.0 / xp_mid  # 1/x' at the N+1 flux midpoints
 
@@ -277,31 +247,22 @@ def discretize(
     diag = mass_sign * (w_node * (w_mid[1:] + w_mid[:-1]) / h2 + coeff)
     sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
     sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
-    return DiscretizedOperator(diag=diag, sub=sub, sup=sup, shifted=shifted)
+    return DiscretizedOperator(diag=diag, sub=sub, sup=sup)
 
 
-def dense_ceiling(override: Optional[int] = None) -> int:
-    """Dense-solver size limit: explicit override, else environment, else 2000."""
-    if override is not None:
-        return int(override)
-    env = os.environ.get(DENSE_CEILING_ENV)
-    return int(env) if env else DENSE_CEILING_DEFAULT
-
-
-def full_spectrum(op: DiscretizedOperator, ceiling: Optional[int] = None) -> np.ndarray:
+def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, sorted by (real, imag).
 
     Real-symmetric bands take the tridiagonal QL/QR fast path; anything else
-    goes through the dense Hessenberg shifted-QR routine (the matrix already
+    goes through LAPACK's dense Hessenberg QR routine (the matrix already
     is Hessenberg).  Both inherit LAPACK's 30*N sweep budget; exceeding it
-    raises ConvergenceFailure.
+    raises ConvergenceFailure.  Sizes above DENSE_CEILING raise DomainError.
     """
     n = op.size
-    limit = dense_ceiling(ceiling)
-    if n > limit:
+    if n > DENSE_CEILING:
         raise DomainError(
-            f"matrix size {n} exceeds the dense-solver ceiling {limit}; "
-            f"use targeted_eigenvalue or raise {DENSE_CEILING_ENV}"
+            f"matrix size {n} exceeds the dense-solver ceiling {DENSE_CEILING}; "
+            "use targeted_eigenvalue"
         )
     if n == 0:
         return np.empty(0, dtype=complex)
@@ -642,7 +603,7 @@ def find_bound_states(
 
     convergence = None
     if two_grid:
-        fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1, offset=grid.offset)
+        fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1)
         fine = find_bound_states(problem, fine_grid, n_max, two_grid=False)
         fine_by_key = {(m.level.n, m.level.sigma): m for m in fine.matched}
         ratios = {}

@@ -114,12 +114,12 @@ def test_A5_pt_symmetry_invariants():
         gaps.append(np.max(np.min(np.abs(vals[None, :] - np.conj(vals[:, None])), axis=1)))
     gap = max(gaps)
 
-    ok = res_u <= 1e-12 and res_l <= 1e-12 and defect <= 1e-12 and gap <= 1e-8
+    ok = res_u <= 1e-12 and res_l <= 1e-12 and defect == 0.0 and gap <= 1e-8
     _report(
         "A5",
         ok,
         f"pt_residual max {max(res_u, res_l):.2e} (tol 1e-12) on 2x10^4 samples; "
-        f"matrix conjugate-reflection defect {defect:.2e} (tol 1e-12, N=4000); "
+        f"matrix conjugate-reflection defect {defect:.2e} (must be 0, N=4000); "
         f"dense conjugation closure {gap:.2e} (tol 1e-8, N=127/199)",
     )
 

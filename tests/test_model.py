@@ -1,5 +1,3 @@
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,7 +18,6 @@ from ptspec.model import (
     MassConfig,
     classify_asymptotics,
     effective_L,
-    effective_mass,
     evaluate_potential,
     stability_verdict,
 )
@@ -101,27 +98,10 @@ class TestEffectiveL:
         assert am.L == pytest.approx(L, rel=1e-9, abs=1e-9)
 
 
-class TestEffectiveMass:
-    def test_real_line_no_rotation(self):
-        m = MassConfig(sign=1, scale=1.0)
-        assert effective_mass(m, 0.0, 1) == pytest.approx(0.5)
-        assert effective_mass(m, 0.0, -1) == pytest.approx(0.5)
-
-    def test_vertical_asymptote_flips_sign(self):
-        m = MassConfig(sign=1, scale=1.0)
-        assert effective_mass(m, math.pi / 2, 1) == pytest.approx(-0.5, abs=1e-15)
-
-    def test_double_flip_restores_positivity(self):
-        m = MassConfig(sign=-1, scale=1.0)
-        assert effective_mass(m, math.pi / 2, -1) == pytest.approx(0.5, abs=1e-15)
-
+class TestMassConfig:
     def test_validation(self):
         with pytest.raises(DomainError):
             MassConfig(sign=2)
-        with pytest.raises(DomainError):
-            MassConfig(scale=0.0)
-        with pytest.raises(DomainError):
-            effective_mass(MassConfig(), 0.0, 0)
 
 
 class TestClassification:

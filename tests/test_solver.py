@@ -17,6 +17,7 @@ from ptspec.errors import (
 )
 from ptspec.model import BenderBoettcher, CoulombKratzer
 from ptspec.solver import (
+    DENSE_CEILING,
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
@@ -77,7 +78,23 @@ class TestDiscretize:
 
     def test_discrete_pt_identity_positive_mass(self):
         op = discretize(UShaped(0.5), CoulombKratzer(2.0), 1.2, 1, GridSpec(12.0, 300))
-        assert op.pt_defect() <= 1e-12
+        assert op.pt_defect() == 0.0
+
+    @given(
+        epsilon=st.floats(min_value=0.1, max_value=3.0),
+        S=st.floats(min_value=2.0, max_value=60.0),
+        N=st.integers(min_value=16, max_value=600),
+        L=st.floats(min_value=-0.45, max_value=3.0),
+        Z=st.floats(min_value=-3.0, max_value=3.0),
+        mass_sign=st.sampled_from([1, -1]),
+    )
+    # eps = 2/pi puts the junctions at |s| = 1, and S=10 with N=19 puts nodes there
+    @example(epsilon=2 / math.pi, S=10.0, N=19, L=0.3, Z=1.0, mass_sign=-1)
+    @settings(max_examples=200, deadline=None)
+    def test_discrete_pt_identity_exact_on_every_grid(self, epsilon, S, N, L, Z, mass_sign):
+        assume(abs(L - round(L)) > 1e-6)
+        op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, mass_sign, GridSpec(S, N))
+        assert op.pt_defect() == 0.0
 
     def test_oscillator_matrix_is_real_symmetric(self):
         op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 200))
@@ -92,15 +109,21 @@ class TestDiscretize:
         with pytest.raises(SingularL):
             discretize(UShaped(1.0), CoulombKratzer(1.0), 1.0, -1, GridSpec(10.0, 64))
 
-    def test_junction_collision_offset_and_error(self):
-        # eps = 2/pi puts the junctions at |s| = 1; S=10, N=19 puts nodes there
+    def test_node_on_junction_is_regular(self):
+        # eps = 2/pi puts the junctions at |s| = 1, where S=15 with N=3989 and
+        # N=7979 puts nodes; x' is continuous there, so the deep level moves
+        # continuously with eps and keeps its h^2 error
         eps = 2.0 / math.pi
-        grid_err = GridSpec(S=10.0, N=19, offset=False)
-        with pytest.raises(GeometryError):
-            discretize(UShaped(eps), CoulombKratzer(1.0), 0.3, -1, grid_err)
-        grid_ok = GridSpec(S=10.0, N=19, offset=True)
-        op = discretize(UShaped(eps), CoulombKratzer(1.0), 0.3, -1, grid_ok)
-        assert op.shifted is True
+
+        def deep(epsilon, N):
+            op = discretize(UShaped(epsilon), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, N))
+            return targeted_eigenvalue(op, DEEP).eigenvalue
+
+        on_node = deep(eps, 3989)
+        assert abs(deep(eps * (1 + 1e-9), 3989) - on_node) <= 1e-8
+        error = abs(on_node - DEEP)
+        assert error <= 1e-3
+        assert 3.9 <= error / abs(deep(eps, 7979) - DEEP) <= 4.1
 
     def test_mass_sign_flips_whole_operator(self):
         g = GridSpec(12.0, 128)
@@ -147,14 +170,13 @@ class TestFullSpectrum:
         order = np.lexsort((vals.imag, vals.real))
         np.testing.assert_array_equal(order, np.arange(len(vals)))
 
-    def test_ceiling_enforced(self, monkeypatch):
-        op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(5.0, 32))
-        monkeypatch.setenv("PTSPEC_DENSE_CEILING", "20")
+    def test_ceiling_enforced(self):
+        def zeros(n):
+            return DiscretizedOperator(diag=np.zeros(n), sub=np.zeros(n - 1), sup=np.zeros(n - 1))
+
         with pytest.raises(DomainError):
-            full_spectrum(op)
-        assert full_spectrum(op, ceiling=40).shape == (32,)
-        monkeypatch.delenv("PTSPEC_DENSE_CEILING")
-        assert full_spectrum(op).shape == (32,)
+            full_spectrum(zeros(DENSE_CEILING + 1))
+        assert full_spectrum(zeros(DENSE_CEILING)).shape == (DENSE_CEILING,)
 
 
 class TestTargeted:
