@@ -52,11 +52,10 @@ from .solver import (
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
-    MatchedLevel,
+    LevelResult,
     SpectrumResult,
     TargetedResult,
     TwoGridConvergence,
-    UnmatchedSeed,
     discretize,
     eigenvector_asymptotics,
     find_bound_states,

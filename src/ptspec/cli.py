@@ -12,7 +12,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -22,7 +21,7 @@ from .contour import StraightLine, UShaped, derivatives, evaluate
 from .errors import ConvergenceFailure, FitError, PtspecError
 from .model import CoulombKratzer, MassConfig, stability_verdict
 
-__all__ = ["RunConfig", "load_config", "run", "main"]
+__all__ = ["load_config", "main"]
 
 
 class UsageError(Exception):
@@ -94,13 +93,10 @@ def _solve(problem: solver.BoundStateProblem, S: float, p: dict) -> str:
     """Run the bound-state search; levels are emitted in closed-form energy order."""
     grid = solver.GridSpec(S=S, N=p["N"])
     result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])
-    found = [(m.level, m.eigenvalue, m.residual, True) for m in result.matched]
-    found += [(u.level, u.eigenvalue, None, False) for u in result.unmatched]
-    found.sort(key=lambda r: (r[0].energy, r[0].n, r[0].sigma))
     rows = []
-    for lv, ev, residual, matched in found:
-        re_im = (None, None) if ev is None else (ev.real, ev.imag)
-        rows.append((lv.n, lv.sigma, lv.energy, *re_im, residual, matched))
+    for r in result.levels:
+        re_im = (None, None) if r.eigenvalue is None else (r.eigenvalue.real, r.eigenvalue.imag)
+        rows.append((r.level.n, r.level.sigma, r.level.energy, *re_im, r.residual, r.matched))
     order = None
     if result.convergence is not None:
         order = result.convergence.order_estimate
@@ -128,11 +124,9 @@ def _run_figure3(p: dict) -> str:
         raise UsageError("require 0 < grid_min < grid_max")
     base = np.linspace(p["grid_min"], p["grid_max"], p["grid_n"])
     # keep the collapse points visible: splice in every interior odd integer
-    odd = [
-        float(t)
-        for t in range(1, int(math.floor(p["grid_max"])) + 1, 2)
-        if p["grid_min"] < t < p["grid_max"]
-    ]
+    first = math.floor(p["grid_min"]) + 1
+    first += 1 - first % 2
+    odd = [float(t) for t in range(first, math.ceil(p["grid_max"]), 2)]
     ts = sorted(set(float(t) for t in base) | set(odd))
     rows = (
         (r.two_L_plus_1, r.n, r.sigma, r.minus_kappa)
@@ -288,14 +282,6 @@ _COMMANDS = {
 }
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One validated invocation: the command path and its parameter map."""
-
-    command: tuple
-    params: dict
-
-
 def load_config(path: str) -> dict:
     """Flat JSON key-value file with the same keys as the command flags."""
     try:
@@ -327,7 +313,7 @@ def _value(name: str, flag: _Flag, raw):
     return value
 
 
-def _merge(command: tuple, flags: dict, file_values: dict) -> RunConfig:
+def _merge(command: tuple, flags: dict, file_values: dict) -> dict:
     """Flags win over file values, file values over the table's defaults."""
     table = _COMMANDS[command].flags
     for key in file_values:
@@ -343,12 +329,7 @@ def _merge(command: tuple, flags: dict, file_values: dict) -> RunConfig:
             raise UsageError(f"missing required parameter: {name}")
         else:
             params[name] = flag.default
-    return RunConfig(command=command, params=params)
-
-
-def run(config: RunConfig) -> str:
-    """Execute a validated configuration and return the artifact text."""
-    return _COMMANDS[config.command].runner(config.params)
+    return params
 
 
 def _build_parser() -> _Parser:
@@ -381,8 +362,8 @@ def main(argv=None) -> int:
     try:
         ns = _build_parser().parse_args(argv)
         file_values = load_config(ns.config) if ns.config else {}
-        config = _merge(ns.command, vars(ns), file_values)
-        artifact = run(config)
+        params = _merge(ns.command, vars(ns), file_values)
+        artifact = _COMMANDS[ns.command].runner(params)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
@@ -393,7 +374,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 
-    out = config.params.get("out")
+    out = params.get("out")
     if out:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(artifact)

@@ -59,8 +59,7 @@ __all__ = [
     "GridSpec",
     "DiscretizedOperator",
     "BoundStateProblem",
-    "MatchedLevel",
-    "UnmatchedSeed",
+    "LevelResult",
     "TwoGridConvergence",
     "SpectrumResult",
     "oscillator_problem",
@@ -424,20 +423,24 @@ def eigenvector_asymptotics(eigenvector: np.ndarray, grid: GridSpec) -> dict:
 
 
 @dataclass(frozen=True)
-class MatchedLevel:
+class LevelResult:
+    """The search for one seeded level: what it found and, unless matched, why not.
+
+    eigenvalue is None when the search did not converge; residual |lambda - E|
+    is set only on a match; the tail rates only when the fit ran.
+    """
+
     level: Level
-    eigenvalue: complex
-    residual: float
-    iterations: int
+    eigenvalue: Optional[complex]
+    reason: Optional[str]
+    residual: Optional[float] = None
+    iterations: Optional[int] = None
     left_rate: Optional[float] = None
     right_rate: Optional[float] = None
 
-
-@dataclass(frozen=True)
-class UnmatchedSeed:
-    level: Level
-    reason: str
-    eigenvalue: Optional[complex] = None
+    @property
+    def matched(self) -> bool:
+        return self.reason is None
 
 
 @dataclass(frozen=True)
@@ -446,14 +449,23 @@ class TwoGridConvergence:
     h_fine: float
     error_ratios: dict
     order_estimate: Optional[float]
+    fine: SpectrumResult
 
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    eigenvalues: list
-    matched: list
-    unmatched: list
+    """One LevelResult per seeded level, in closed-form table order."""
+
+    levels: list
     convergence: Optional[TwoGridConvergence] = None
+
+    @property
+    def matched(self) -> list:
+        return [r for r in self.levels if r.matched]
+
+    @property
+    def unmatched(self) -> list:
+        return [r for r in self.levels if not r.matched]
 
 
 def auto_box(Z: float, L: float, n_max: int) -> float:
@@ -518,6 +530,27 @@ def _host_coupling(Z: float, L: float, lv: Level) -> float:
     return Z if Z * lv.sigma * den > 0 else -Z
 
 
+def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, tail_filter: bool) -> LevelResult:
+    """Match a converged search to its seed: the tolerance first, then the tail filter."""
+    found = {"level": lv, "eigenvalue": res.eigenvalue, "iterations": res.iterations}
+    delta = abs(res.eigenvalue - lv.energy)
+    tol = max(MATCH_ABS_TOL, 5.0 * grid.h * grid.h * abs(lv.energy))
+    if delta > tol:
+        return LevelResult(**found, reason=f"nearest eigenvalue off by {delta:.3e} (> {tol:.3e})")
+    if not tail_filter:
+        return LevelResult(**found, reason=None, residual=delta)
+    try:
+        rates = eigenvector_asymptotics(res.eigenvector, grid)
+    except FitError as exc:
+        return LevelResult(**found, reason=str(exc))
+    floor = SPURIOUS_RATE_FRACTION * lv.kappa
+    if rates["left_rate"] < floor and rates["right_rate"] < floor:
+        return LevelResult(
+            **found, **rates, reason="plane-wave-like eigenvector (continuum artifact)"
+        )
+    return LevelResult(**found, **rates, reason=None, residual=delta)
+
+
 def find_bound_states(
     problem: BoundStateProblem,
     grid: GridSpec,
@@ -526,109 +559,60 @@ def find_bound_states(
 ) -> SpectrumResult:
     """Seed shift-invert searches at the closed-form level energies.
 
+    Returns one LevelResult per seeded level, in closed-form table order.
     Levels whose decay length 1/kappa exceeds S/3 are not seeded (the
     Dirichlet truncation error would dominate them).  Each level is targeted
     in the coupling-sign convention that hosts its decaying eigenfunction
-    (see _host_coupling); the sign change is spectrally inessential.  Each
-    search stops at the residual max(1e-10 * max(1, |lambda|),
-    eps * ||H||_inf) (see targeted_eigenvalue), so fine grids do not lose
-    seeds to the rounding floor; one that still hits the iteration cap is
-    unmatched with reason "no convergence: ...".  A numeric eigenvalue
-    matches its seed when |delta| <= max(1e-3, 5 h^2 |E|); matches whose
-    eigenvector tails do not decay (both fitted rates below 5% of kappa)
-    are discarded as continuum artifacts.  With two_grid=True the run is
-    repeated at h/2 and per-level error ratios and a Richardson order
-    estimate are attached.
+    (see _host_coupling).  A search that hits the iteration cap (see
+    targeted_eigenvalue) gets the reason "no convergence: ...".  A numeric
+    eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|), unless
+    its eigenvector tails do not decay (both fitted rates below 5% of kappa:
+    a continuum artifact).  With two_grid=True the run is repeated at h/2,
+    and that run, per-level error ratios and a Richardson order estimate are
+    attached.
     """
     seeds = _seeds(problem, grid, n_max)
     tail_filter = isinstance(problem.potential, CoulombKratzer)
-    h = grid.h
     operators = {
         host: discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
         for host in dict.fromkeys(host for _, host in seeds)
     }
 
-    eigenvalues = []
-    matched = []
-    unmatched = []
+    levels = []
     for lv, host in seeds:
         try:
             res = targeted_eigenvalue(operators[host], lv.energy)
         except ConvergenceFailure as exc:
-            unmatched.append(UnmatchedSeed(level=lv, reason=f"no convergence: {exc}"))
-            continue
-        eigenvalues.append(res.eigenvalue)
-        delta = abs(res.eigenvalue - lv.energy)
-        tol = max(MATCH_ABS_TOL, 5.0 * h * h * abs(lv.energy))
-        if delta > tol:
-            unmatched.append(
-                UnmatchedSeed(
-                    level=lv,
-                    reason=f"nearest eigenvalue off by {delta:.3e} (> {tol:.3e})",
-                    eigenvalue=res.eigenvalue,
-                )
-            )
-            continue
-        left_rate = right_rate = None
-        if tail_filter:
-            try:
-                rates = eigenvector_asymptotics(res.eigenvector, grid)
-            except FitError as exc:
-                unmatched.append(
-                    UnmatchedSeed(level=lv, reason=str(exc), eigenvalue=res.eigenvalue)
-                )
-                continue
-            left_rate = rates["left_rate"]
-            right_rate = rates["right_rate"]
-            floor = SPURIOUS_RATE_FRACTION * lv.kappa
-            if left_rate < floor and right_rate < floor:
-                unmatched.append(
-                    UnmatchedSeed(
-                        level=lv,
-                        reason="plane-wave-like eigenvector (continuum artifact)",
-                        eigenvalue=res.eigenvalue,
-                    )
-                )
-                continue
-        matched.append(
-            MatchedLevel(
-                level=lv,
-                eigenvalue=res.eigenvalue,
-                residual=delta,
-                iterations=res.iterations,
-                left_rate=left_rate,
-                right_rate=right_rate,
-            )
-        )
+            reason = f"no convergence: {exc}"
+            levels.append(LevelResult(lv, None, reason, iterations=exc.iterations))
+        else:
+            levels.append(_verdict(lv, res, grid, tail_filter))
+    result = SpectrumResult(levels=levels)
+    if not two_grid:
+        return result
 
-    convergence = None
-    if two_grid:
-        fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1)
-        fine = find_bound_states(problem, fine_grid, n_max, two_grid=False)
-        fine_by_key = {(m.level.n, m.level.sigma): m for m in fine.matched}
-        ratios = {}
-        orders = []
-        for m in matched:
-            key = (m.level.n, m.level.sigma)
-            other = fine_by_key.get(key)
-            if other is None or other.residual == 0.0:
-                continue
-            ratio = m.residual / other.residual
-            ratios[key] = ratio
-            if ratio > 0:
-                orders.append(math.log2(ratio))
-        convergence = TwoGridConvergence(
-            h_coarse=h,
-            h_fine=fine_grid.h,
-            error_ratios=ratios,
-            order_estimate=float(np.median(orders)) if orders else None,
-        )
-    return SpectrumResult(
-        eigenvalues=eigenvalues,
-        matched=matched,
-        unmatched=unmatched,
-        convergence=convergence,
+    fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1)
+    fine = find_bound_states(problem, fine_grid, n_max)
+    fine_by_key = {(m.level.n, m.level.sigma): m for m in fine.matched}
+    ratios = {}
+    orders = []
+    for m in result.matched:
+        key = (m.level.n, m.level.sigma)
+        other = fine_by_key.get(key)
+        if other is None or other.residual == 0.0:
+            continue
+        ratio = m.residual / other.residual
+        ratios[key] = ratio
+        if ratio > 0:
+            orders.append(math.log2(ratio))
+    convergence = TwoGridConvergence(
+        h_coarse=grid.h,
+        h_fine=fine_grid.h,
+        error_ratios=ratios,
+        order_estimate=float(np.median(orders)) if orders else None,
+        fine=fine,
     )
+    return SpectrumResult(levels=levels, convergence=convergence)
 
 
 def _spectral_edge(op: DiscretizedOperator) -> complex:

@@ -1,0 +1,61 @@
+"""The benchmark's level check against the result shape find_bound_states returns.
+
+bench/workloads.check_levels reads SpectrumResult.matched and .unmatched.
+These tests hold it to catching a wrong eigenvalue and a dropped seed on a
+result whose levels were edited, the way the benchmark's own self-tests
+edit the matched and unmatched lists.
+"""
+
+import dataclasses
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from ptspec.contour import UShaped
+from ptspec.model import CoulombKratzer
+from ptspec.solver import BoundStateProblem, GridSpec, find_bound_states
+
+
+def _load_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+workloads = _load_workloads()
+Z, L, NMAX = 1.0, 0.3, 1
+GRID = GridSpec(30.0, 2000)
+
+
+@pytest.fixture(scope="module")
+def result():
+    problem = BoundStateProblem(UShaped(1.0), CoulombKratzer(Z), L, -1)
+    return find_bound_states(problem, GRID, NMAX)
+
+
+def _check(result):
+    return workloads.check_levels(result, Z, L, NMAX, GRID.S, GRID.h)
+
+
+def test_unedited_result_passes(result):
+    outcome = _check(result)
+    assert (outcome.seeded, outcome.matched) == (len(result.levels), len(result.matched))
+    assert result.unmatched  # the dropped-seed case below has a seed to drop
+
+
+def test_perturbed_eigenvalue_caught(result):
+    first = result.matched[0]
+    bad = dataclasses.replace(first, eigenvalue=first.eigenvalue + 0.05)
+    levels = [bad if r is first else r for r in result.levels]
+    with pytest.raises(workloads.CheckFailed, match="off by"):
+        _check(dataclasses.replace(result, levels=levels))
+
+
+def test_dropped_seed_caught(result):
+    with pytest.raises(workloads.CheckFailed, match="not seeded"):
+        _check(dataclasses.replace(result, levels=result.matched))

@@ -165,6 +165,24 @@ class TestFigure3:
         assert table[(1.6, 0, -1)] == pytest.approx(-1 / 0.6, rel=1e-12)
         assert table[(2.0, 0, 1)] == pytest.approx(-1 / 3, rel=1e-12)
 
+    def test_odd_integers_spliced_far_from_one(self, capsys):
+        # the splice walks only the odd integers inside (grid_min, grid_max),
+        # so a sweep near 2L+1 = 1e12 costs what one near 1 does
+        code, out, _ = run_cli(
+            capsys, "figure3", "--grid-min", "1e12", "--grid-max", "1000000000004",
+            "--grid-n", "2", "--nmax", "0",
+        )
+        assert code == 0
+        table = {}
+        for line in out.strip().split("\n")[1:]:
+            t, n, sigma, mk = line.split(",")
+            table[(int(float(t)), int(n), int(sigma))] = float(mk)
+        ts = sorted({t for t, _, _ in table})
+        assert ts == [10**12, 10**12 + 1, 10**12 + 3, 10**12 + 4]
+        for t in (10**12 + 1, 10**12 + 3):
+            assert table[(t, 0, 1)] == pytest.approx(-1 / (t + 1), rel=1e-12)
+            assert table[(t, 0, -1)] == pytest.approx(-1 / (t - 1), rel=1e-12)
+
     def test_json_gap_is_null(self, capsys):
         _, out, _ = run_cli(
             capsys, "figure3", "--grid-min", "0.5", "--grid-max", "1.5",

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ptspec.analytic import Level
+from ptspec.analytic import Level, spectrum_table
 from ptspec.contour import StraightLine, UShaped
 from ptspec.errors import (
     ConvergenceFailure,
@@ -299,8 +299,9 @@ class TestEigenvectorAsymptotics:
 class TestFindBoundStates:
     def test_oscillator_five_matches(self):
         res = find_bound_states(oscillator_problem(), GridSpec(10.0, 2000), n_max=4)
-        assert len(res.matched) == 5
-        got = sorted(m.eigenvalue.real for m in res.matched)
+        assert [(r.level.n, r.level.sigma) for r in res.levels] == [(n, 1) for n in range(5)]
+        assert res.matched == res.levels
+        got = [r.eigenvalue.real for r in res.levels]
         np.testing.assert_allclose(got, [1, 3, 5, 7, 9], atol=1e-3)
 
     def test_deep_level_matched_on_acceptance_grid(self):
@@ -317,7 +318,7 @@ class TestFindBoundStates:
 
     def test_zero_coupling_empty(self):
         res = find_bound_states(ck_problem(Z=0.0), GridSpec(15.0, 100), n_max=3)
-        assert res.eigenvalues == [] and res.matched == [] and res.unmatched == []
+        assert res.levels == [] and res.matched == [] and res.unmatched == []
 
     def test_shallow_levels_not_seeded_on_small_box(self):
         # kappa(0, +1) = 1/2.6: needs S >= 7.8, so S = 5 seeds only the deep level
@@ -365,11 +366,46 @@ class TestFindBoundStates:
         assert coarse_keys <= {(m.level.n, m.level.sigma) for m in fine.matched}
         assert set(res.convergence.error_ratios) == coarse_keys
 
-    def test_eigenvalues_in_seed_order(self):
+    def test_levels_in_seed_order(self):
+        grid = GridSpec(30.0, 2000)
+        res = find_bound_states(ck_problem(), grid, n_max=1)
+        seeded = [lv for lv in spectrum_table(1.0, 0.3, 1, -1) if 3.0 / lv.kappa <= grid.S]
+        assert [r.level for r in res.levels] == seeded
+        assert res.matched == [r for r in res.levels if r.reason is None]
+        assert res.unmatched == [r for r in res.levels if r.reason is not None]
+        for r in res.levels:
+            no_convergence = r.reason is not None and r.reason.startswith("no convergence")
+            assert (r.eigenvalue is None) == no_convergence
+            assert (r.residual is not None) == r.matched
+            if r.matched:
+                assert r.residual == abs(r.eigenvalue - r.level.energy)
+
+    def test_nonconverged_seed_kept_in_place(self, monkeypatch):
+        import ptspec.solver as solver
+
+        real = solver.targeted_eigenvalue
+        deep = spectrum_table(1.0, 0.3, 1, -1)[0]
+
+        def stall_on_deep(op, shift):
+            if shift == deep.energy:
+                raise ConvergenceFailure("stalled", iterations=200)
+            return real(op, shift)
+
+        monkeypatch.setattr(solver, "targeted_eigenvalue", stall_on_deep)
         res = find_bound_states(ck_problem(), GridSpec(30.0, 2000), n_max=1)
-        assert len(res.eigenvalues) == len(res.matched) + sum(
-            1 for u in res.unmatched if u.eigenvalue is not None
-        )
+        first = res.levels[0]
+        assert first.level == deep
+        assert first.eigenvalue is None and first.residual is None
+        assert first.reason == "no convergence: stalled" and first.iterations == 200
+        assert all(r.eigenvalue is not None for r in res.levels[1:])
+
+    def test_two_grid_keeps_fine_run(self):
+        grid = GridSpec(30.0, 2000)
+        res = find_bound_states(ck_problem(), grid, n_max=1, two_grid=True)
+        fine = find_bound_states(ck_problem(), GridSpec(30.0, 2 * grid.N + 1), n_max=1)
+        assert res.convergence.fine.levels == fine.levels
+        assert fine.unmatched  # the unmatched seeds are kept too
+        assert res.convergence.h_fine == GridSpec(30.0, 2 * grid.N + 1).h
 
 
 def test_instability_probe_trend():
