@@ -75,7 +75,7 @@ def _run_contour_sample(p: dict) -> str:
         raise UsageError("smax must exceed smin")
     s = np.linspace(p["smin"], p["smax"], p["n"])
     x = evaluate(contour, s)
-    dx, _ = derivatives(contour, s)
+    dx = derivatives(contour, s)
     rows = (
         (float(si), float(xi.real), float(xi.imag), float(di.real), float(di.imag))
         for si, xi, di in zip(s, x, dx)

@@ -75,68 +75,52 @@ def _as_array(s):
     return arr, arr.ndim == 0
 
 
+def _path(contour: Contour, arr: np.ndarray):
+    """Branchwise analytic (x, x') at the real parameters arr; see derivatives."""
+    if isinstance(contour, StraightLine):
+        xp = np.where(arr >= 0, np.exp(1j * contour.phi), np.exp(-1j * contour.phi))
+        return arr * xp, xp
+    eps = contour.epsilon
+    if eps == 0.0:
+        return 1j * np.abs(arr), np.where(arr >= 0, 1j, -1j)
+    c = contour.junction
+    x = np.empty(arr.shape, dtype=complex)
+    xp = np.empty(arr.shape, dtype=complex)
+    left, right = arr < -c, arr > c
+    arc = ~(left | right)
+    x[left] = -1j * (arr[left] + c) - eps
+    x[right] = 1j * (arr[right] - c) + eps
+    xp[left] = -1j
+    xp[right] = 1j
+    u = arr[arc] / eps
+    sin_u, cos_u = np.sin(u), np.cos(u)
+    # eps*exp(i(u - pi/2)) written in components so that the
+    # reflection s -> -s conjugates the value exactly in floats
+    x[arc] = eps * (sin_u - 1j * cos_u)
+    xp[arc] = cos_u + 1j * sin_u
+    return x, xp
+
+
 def evaluate(contour: Contour, s):
     """Map the real path parameter s to the complex coordinate x(s).
 
     Accepts a scalar or array s and returns a matching complex result.
     """
     arr, scalar = _as_array(s)
-    if isinstance(contour, StraightLine):
-        up = np.exp(1j * contour.phi)
-        down = np.exp(-1j * contour.phi)
-        x = np.where(arr >= 0, arr * up, arr * down)
-    else:
-        eps = contour.epsilon
-        if eps == 0.0:
-            x = 1j * np.abs(arr)
-        else:
-            c = contour.junction
-            x = np.empty(arr.shape, dtype=complex)
-            left = arr < -c
-            right = arr > c
-            arc = ~(left | right)
-            x[left] = -1j * (arr[left] + c) - eps
-            x[right] = 1j * (arr[right] - c) + eps
-            u = arr[arc] / eps
-            # eps*exp(i(u - pi/2)) written in components so that the
-            # reflection s -> -s conjugates the value exactly in floats
-            x[arc] = eps * (np.sin(u) - 1j * np.cos(u))
+    x, _ = _path(contour, arr)
     return complex(x) if scalar else x
 
 
 def derivatives(contour: Contour, s):
-    """First and second derivatives (x', x'') of the path at s.
+    """First derivative x'(s) of the path, scalar or array like s.
 
     Branchwise analytic values.  At the junctions |s| = pi*eps/2 the arc-side
     value is reported; at the fold of a degenerate contour (eps = 0, s = 0)
     the upper-branch value is used.
     """
     arr, scalar = _as_array(s)
-    if isinstance(contour, StraightLine):
-        up = np.exp(1j * contour.phi)
-        down = np.exp(-1j * contour.phi)
-        xp = np.where(arr >= 0, up, down)
-        xpp = np.zeros(arr.shape, dtype=complex)
-    else:
-        eps = contour.epsilon
-        if eps == 0.0:
-            xp = np.where(arr >= 0, 1j, -1j)
-            xpp = np.zeros(arr.shape, dtype=complex)
-        else:
-            c = contour.junction
-            xp = np.empty(arr.shape, dtype=complex)
-            xpp = np.zeros(arr.shape, dtype=complex)
-            left = arr < -c
-            right = arr > c
-            arc = ~(left | right)
-            xp[left] = -1j
-            xp[right] = 1j
-            u = arr[arc] / eps
-            xp[arc] = np.cos(u) + 1j * np.sin(u)
-            xpp[arc] = (-np.sin(u) + 1j * np.cos(u)) / eps
-    if scalar:
-        return complex(xp), complex(xpp)
-    return xp, xpp
+    _, xp = _path(contour, arr)
+    return complex(xp) if scalar else xp
 
 
 def pt_residual(contour: Contour, s):
@@ -155,7 +139,7 @@ def angle_window(delta: float, branch: int = 0) -> AngleWindow:
     if delta <= -1.0:
         raise DomainError(f"angle window degenerates for delta <= -1, got {delta}")
     if branch < 0:
-        raise ValueError(f"branch must be a nonnegative integer, got {branch}")
+        raise DomainError(f"branch must be a nonnegative integer, got {branch}")
     width = math.pi / (4.0 + 4.0 * delta)
     lower = (2 * branch + 1) * width - 0.5 * math.pi
     upper = (2 * branch + 3) * width - 0.5 * math.pi

@@ -228,10 +228,8 @@ def discretize(
 
     s = grid.nodes()
     x = evaluate(contour, s)
-    xp, _ = derivatives(contour, s)
-    xp_mid, _ = derivatives(contour, grid.midpoints())
-    w_node = 1.0 / xp  # 1/x' at the nodes
-    w_mid = 1.0 / xp_mid  # 1/x' at the N+1 flux midpoints
+    w_node = 1.0 / derivatives(contour, s)  # 1/x' at the nodes
+    w_mid = 1.0 / derivatives(contour, grid.midpoints())  # 1/x' at the N+1 flux midpoints
 
     coeff = evaluate_potential(potential, x)
     lam = L * (L + 1.0)
@@ -269,19 +267,11 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
     try:
         if (
-            n == 1
-            or (
-                np.all(op.diag.imag == 0.0)
-                and np.all(op.sub.imag == 0.0)
-                and np.array_equal(op.sub, op.sup)
-            )
+            np.all(op.diag.imag == 0.0)
+            and np.all(op.sub.imag == 0.0)
+            and np.array_equal(op.sub, op.sup)
         ):
-            if n == 1:
-                vals = op.diag.astype(complex)
-            else:
-                vals = scipy.linalg.eigvalsh_tridiagonal(
-                    op.diag.real, op.sub.real
-                ).astype(complex)
+            vals = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, op.sub.real).astype(complex)
         else:
             vals = scipy.linalg.eigvals(op.to_dense())
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
@@ -297,45 +287,62 @@ class TargetedResult:
     residual: float
 
 
-def _band_factor(op: DiscretizedOperator, shift: complex):
-    """LU factorization with partial pivoting of (op - shift*I) in band storage.
+def _shifted_solver(op: DiscretizedOperator, shift: complex):
+    """One banded LU of (op - shift*I); returns the shift used and solve(v).
 
-    Returns the factors, pivots, LAPACK info and the matching gbtrs solver.
+    LAPACK gbtrf with partial pivoting on the band storage.  A shift that is
+    exactly an eigenvalue makes the factor singular: it is nudged off the
+    singularity once and refactored.  solve(v) applies (op - shift*I)^-1 in
+    O(N) by gbtrs.  Either LAPACK failure raises ConvergenceFailure.
     """
     from scipy.linalg import get_lapack_funcs  # deferred: see full_spectrum
 
     n = op.size
     ab = np.zeros((4, n), dtype=complex)  # 2*kl + ku + 1 rows for kl = ku = 1
-    ab[2, :] = op.diag - shift
-    if n > 1:
-        ab[1, 1:] = op.sup
-        ab[3, :-1] = op.sub
+    ab[1, 1:] = op.sup
+    ab[3, :-1] = op.sub
     gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
+    ab[2, :] = op.diag - shift
     lu, piv, info = gbtrf(ab, 1, 1)
-    return lu, piv, info, gbtrs
+    if info > 0:
+        shift = shift + 1e-12 * (1.0 + abs(shift))
+        ab[2, :] = op.diag - shift
+        lu, piv, info = gbtrf(ab, 1, 1)
+    if info != 0:
+        raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
+
+    def solve(v: np.ndarray) -> np.ndarray:
+        w, solve_info = gbtrs(lu, 1, 1, v, piv)
+        if solve_info != 0:
+            raise ConvergenceFailure(f"banded solve failed (info={solve_info})")
+        return w
+
+    return shift, solve
 
 
-def _residual_bound(lam: complex, tol: float, floor: float) -> float:
-    """Residual at which a unit eigenvector estimate for lam is accepted.
+def _start_vector(n: int) -> np.ndarray:
+    """Complex Gaussian start vector from the fixed seed: runs repeat bitwise."""
+    rng = np.random.default_rng(_START_SEED)
+    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
 
-    max(tol * max(1, |lam|), floor), floor = eps * ||op||_inf being the
-    rounding floor of the residual (see targeted_eigenvalue).
+
+def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
+    """(tolerance, rounding floor) for a unit eigenvector estimate of lam.
+
+    The estimate is accepted once its residual is at most the larger of
+    RESIDUAL_TOL * max(1, |lam|) and eps * ||op||_inf (see targeted_eigenvalue).
     """
-    return max(tol * max(1.0, abs(lam)), floor)
+    return RESIDUAL_TOL * max(1.0, abs(lam)), np.finfo(float).eps * op.norm_inf
 
 
-def targeted_eigenvalue(
-    op: DiscretizedOperator,
-    shift: complex,
-    tol: float = RESIDUAL_TOL,
-    max_iter: int = INVERSE_ITERATION_CAP,
-) -> TargetedResult:
+def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResult:
     """Shift-invert inverse iteration toward the eigenvalue nearest `shift`.
 
     One banded LU factorization of (op - shift*I), then O(N) solves per
     iteration.  The eigenvalue estimate is the Rayleigh quotient of the
     current iterate; convergence is declared when the 2-norm residual
-    ||op v - lambda v|| drops to max(tol * max(1, |lambda|), eps * ||op||_inf).
+    ||op v - lambda v|| drops to max(RESIDUAL_TOL * max(1, |lambda|),
+    eps * ||op||_inf), within INVERSE_ITERATION_CAP steps.
     The second term is the rounding floor, below which the computed residual
     of a unit vector is noise (backward-error stopping criterion; Higham,
     Accuracy and Stability of Numerical Algorithms, 2002); it grows like
@@ -346,25 +353,13 @@ def targeted_eigenvalue(
     n = op.size
     if n == 0:
         raise DomainError("empty operator")
-    floor = np.finfo(float).eps * op.norm_inf
-    lu, piv, info, gbtrs = _band_factor(op, shift)
-    if info > 0:
-        # shift is an exact eigenvalue: nudge it off the singularity and refactor
-        shift = shift + 1e-12 * (1.0 + abs(shift))
-        lu, piv, info, gbtrs = _band_factor(op, shift)
-    if info != 0:
-        raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
-
-    rng = np.random.default_rng(_START_SEED)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shift, solve = _shifted_solver(op, shift)
+    v = _start_vector(n)
     v /= np.linalg.norm(v)
     lam = complex(shift)
     residual = math.inf
-    for iteration in range(1, max_iter + 1):
-        w, solve_info = gbtrs(lu, 1, 1, v.reshape(-1, 1), piv)
-        if solve_info != 0:
-            raise ConvergenceFailure(f"banded solve failed (info={solve_info})")
-        w = w[:, 0]
+    for iteration in range(1, INVERSE_ITERATION_CAP + 1):
+        w = solve(v)
         norm_w = np.linalg.norm(w)
         if not np.isfinite(norm_w) or norm_w == 0.0:
             raise ConvergenceFailure("inverse iteration produced a degenerate vector")
@@ -372,15 +367,15 @@ def targeted_eigenvalue(
         hv = op.matvec(v)
         lam = complex(np.vdot(v, hv))
         residual = float(np.linalg.norm(hv - lam * v))
-        if residual <= _residual_bound(lam, tol, floor):
+        if residual <= max(_residual_bound(lam, op)):
             break
     else:
+        tol, floor = _residual_bound(lam, op)
         raise ConvergenceFailure(
-            f"inverse iteration did not converge in {max_iter} steps "
-            f"(final residual {residual:.1e}; tolerance "
-            f"{tol * max(1.0, abs(lam)):.1e}, rounding floor {floor:.1e})",
+            f"inverse iteration did not converge in {INVERSE_ITERATION_CAP} steps "
+            f"(final residual {residual:.1e}; tolerance {tol:.1e}, rounding floor {floor:.1e})",
             residual=residual,
-            iterations=max_iter,
+            iterations=INVERSE_ITERATION_CAP,
         )
 
     mags = np.abs(v)
@@ -635,18 +630,11 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = op.size
-    shift = -op.norm_inf
-    lu, piv, info, gbtrs = _band_factor(op, shift)
-    if info != 0:
-        raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
-    inverse = LinearOperator(
-        (n, n), matvec=lambda v: gbtrs(lu, 1, 1, v, piv)[0], dtype=complex
-    )
-    rng = np.random.default_rng(_START_SEED)
-    start = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    shift, solve = _shifted_solver(op, -op.norm_inf)
+    inverse = LinearOperator((n, n), matvec=solve, dtype=complex)
     try:
         mu, vectors = eigs(
-            inverse, k=EDGE_BLOCK, v0=start, maxiter=INVERSE_ITERATION_CAP
+            inverse, k=EDGE_BLOCK, v0=_start_vector(n), maxiter=INVERSE_ITERATION_CAP
         )
     except ArpackNoConvergence as exc:
         raise ConvergenceFailure(
@@ -658,7 +646,7 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
     lam = complex(lams[k])
     v = vectors[:, k] / np.linalg.norm(vectors[:, k])
     residual = float(np.linalg.norm(op.matvec(v) - lam * v))
-    bound = _residual_bound(lam, RESIDUAL_TOL, np.finfo(float).eps * op.norm_inf)
+    bound = max(_residual_bound(lam, op))
     if residual > bound:
         raise ConvergenceFailure(
             f"spectral edge residual {residual:.1e} above {bound:.1e}",

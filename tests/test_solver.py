@@ -21,6 +21,7 @@ from ptspec.solver import (
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
+    _spectral_edge,
     auto_box,
     discretize,
     eigenvector_asymptotics,
@@ -135,8 +136,11 @@ class TestDiscretize:
 
 class TestFullSpectrum:
     def test_one_by_one(self):
+        # the complex entry takes the Hessenberg route, the real one the tridiagonal route
         op = DiscretizedOperator(diag=[3.0 + 1.0j], sub=[], sup=[])
         np.testing.assert_allclose(full_spectrum(op), [3.0 + 1.0j])
+        op = DiscretizedOperator(diag=[2.5], sub=[], sup=[])
+        np.testing.assert_allclose(full_spectrum(op), [2.5 + 0.0j])
 
     def test_two_by_two_symmetric(self):
         op = DiscretizedOperator(diag=[2.0, 2.0], sub=[1.0], sup=[1.0])
@@ -228,20 +232,24 @@ class TestTargeted:
         dense = full_spectrum(op)
         assert np.min(np.abs(dense - lam)) < 1e-8
 
-    def test_convergence_failure_reports_residual(self):
+    def test_convergence_failure_reports_residual(self, monkeypatch):
+        monkeypatch.setattr("ptspec.solver.RESIDUAL_TOL", 1e-30)
+        monkeypatch.setattr("ptspec.solver.INVERSE_ITERATION_CAP", 2)
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
         with pytest.raises(ConvergenceFailure) as excinfo:
-            targeted_eigenvalue(op, DEEP, tol=1e-30, max_iter=2)
+            targeted_eigenvalue(op, DEEP)
         assert excinfo.value.residual is not None
         assert excinfo.value.iterations == 2
         assert "rounding floor" in str(excinfo.value)
 
-    def test_unreachable_tolerance_stops_at_rounding_floor(self):
+    def test_unreachable_tolerance_stops_at_rounding_floor(self, monkeypatch):
+        monkeypatch.setattr("ptspec.solver.RESIDUAL_TOL", 1e-30)
+        monkeypatch.setattr("ptspec.solver.INVERSE_ITERATION_CAP", 1000)
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
         row_sum = np.abs(op.to_dense()).sum(axis=1).max()
         assert op.norm_inf == pytest.approx(row_sum, rel=1e-14)
         floor = np.finfo(float).eps * row_sum
-        res = targeted_eigenvalue(op, DEEP, tol=1e-30, max_iter=1000)
+        res = targeted_eigenvalue(op, DEEP)
         assert res.residual <= floor
         assert res.iterations < 1000
 
@@ -440,6 +448,12 @@ class TestInstabilityProbeEdge:
         with pytest.raises(ConvergenceFailure) as info:
             positive_mass_instability_probe(1.0, 2.2, 0.5, grids=((30.0, 99),))
         assert info.value.iterations == 1
+
+    def test_shift_on_an_eigenvalue_is_nudged_off(self):
+        # diagonal operator: the Gershgorin shift -||op||_inf = -1 is itself an eigenvalue
+        diag = np.array([-1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 0.75, 1.0])
+        op = DiscretizedOperator(diag=diag, sub=np.zeros(7), sup=np.zeros(7))
+        assert _spectral_edge(op) == pytest.approx(-1.0, abs=1e-10)
 
 
 def test_conjugation_closure_moderate_grids():
