@@ -146,9 +146,13 @@ class DiscretizedOperator:
         return self.diag.size
 
     def to_dense(self) -> np.ndarray:
-        m = np.diag(self.diag)
-        if self.size > 1:
-            m += np.diag(self.sub, -1) + np.diag(self.sup, 1)
+        """The full matrix, column-major so LAPACK takes it without a copy."""
+        n = self.size
+        m = np.zeros((n, n), dtype=complex, order="F")
+        i = np.arange(n)
+        m[i, i] = self.diag
+        m[i[1:], i[:-1]] = self.sub
+        m[i[:-1], i[1:]] = self.sup
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -273,7 +277,7 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
         ):
             vals = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, op.sub.real).astype(complex)
         else:
-            vals = scipy.linalg.eigvals(op.to_dense())
+            vals = scipy.linalg.eigvals(op.to_dense(), overwrite_a=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceFailure(f"dense QR iteration failed: {exc}") from exc
     return vals[np.lexsort((vals.imag, vals.real))]
@@ -290,29 +294,35 @@ class TargetedResult:
 def _shifted_solver(op: DiscretizedOperator, shift: complex):
     """One banded LU of (op - shift*I); returns the shift used and solve(v).
 
-    LAPACK gbtrf with partial pivoting on the band storage.  A shift that is
-    exactly an eigenvalue makes the factor singular: it is nudged off the
-    singularity once and refactored.  solve(v) applies (op - shift*I)^-1 in
-    O(N) by gbtrs.  Either LAPACK failure raises ConvergenceFailure.
+    LAPACK gbtrf with partial pivoting, in place on column-major band
+    storage.  A shift that is exactly an eigenvalue makes the factor
+    singular: it is nudged off the singularity once and the band, which the
+    failed factorization overwrote, is rebuilt and refactored.  solve(v)
+    applies (op - shift*I)^-1 in O(N) by gbtrs, in v's own storage: v is
+    overwritten with the result, which is returned.  Either LAPACK failure
+    raises ConvergenceFailure.
     """
     from scipy.linalg import get_lapack_funcs  # deferred: see full_spectrum
 
-    n = op.size
-    ab = np.zeros((4, n), dtype=complex)  # 2*kl + ku + 1 rows for kl = ku = 1
-    ab[1, 1:] = op.sup
-    ab[3, :-1] = op.sub
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), (ab,))
-    ab[2, :] = op.diag - shift
-    lu, piv, info = gbtrf(ab, 1, 1)
+    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
+
+    def factor(shift: complex) -> tuple:
+        # 2*kl + ku + 1 rows for kl = ku = 1; column-major, so gbtrf factors it in place
+        ab = np.zeros((4, op.size), dtype=complex, order="F")
+        ab[1, 1:] = op.sup
+        ab[2, :] = op.diag - shift
+        ab[3, :-1] = op.sub
+        return gbtrf(ab, 1, 1, overwrite_ab=1)
+
+    lu, piv, info = factor(shift)
     if info > 0:
         shift = shift + 1e-12 * (1.0 + abs(shift))
-        ab[2, :] = op.diag - shift
-        lu, piv, info = gbtrf(ab, 1, 1)
+        lu, piv, info = factor(shift)
     if info != 0:
         raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
 
     def solve(v: np.ndarray) -> np.ndarray:
-        w, solve_info = gbtrs(lu, 1, 1, v, piv)
+        w, solve_info = gbtrs(lu, 1, 1, v, piv, overwrite_b=1)
         if solve_info != 0:
             raise ConvergenceFailure(f"banded solve failed (info={solve_info})")
         return w
@@ -359,14 +369,15 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     lam = complex(shift)
     residual = math.inf
     for iteration in range(1, INVERSE_ITERATION_CAP + 1):
-        w = solve(v)
+        w = solve(v)  # in place: v's storage now holds w
         norm_w = np.linalg.norm(w)
         if not np.isfinite(norm_w) or norm_w == 0.0:
             raise ConvergenceFailure("inverse iteration produced a degenerate vector")
-        v = w / norm_w
+        v = np.divide(w, norm_w, out=w)
         hv = op.matvec(v)
         lam = complex(np.vdot(v, hv))
-        residual = float(np.linalg.norm(hv - lam * v))
+        hv -= lam * v
+        residual = float(np.linalg.norm(hv))
         if residual <= max(_residual_bound(lam, op)):
             break
     else:
@@ -546,6 +557,41 @@ def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, tail_filter: bool) 
     return LevelResult(**found, **rates, reason=None, residual=delta)
 
 
+def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
+    """One LevelResult per seed on one grid, in closed-form table order.
+
+    One host operator at a time: each host is discretized, its seeds are
+    solved, and it is released before the next host is built.  A seed's
+    search depends only on its host and its shift (the start vector is
+    fixed), so grouping the seeds by host leaves every result unchanged.
+    """
+    seeds = _seeds(problem, grid, n_max)
+    tail_filter = isinstance(problem.potential, CoulombKratzer)
+    levels = [None] * len(seeds)
+    for host in dict.fromkeys(host for _, host in seeds):
+        op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+        for i, (lv, seed_host) in enumerate(seeds):
+            if seed_host == host:
+                levels[i] = _search_level(op, lv, grid, tail_filter)
+        del op
+    return levels
+
+
+def _search_level(
+    op: DiscretizedOperator, lv: Level, grid: GridSpec, tail_filter: bool
+) -> LevelResult:
+    """Target one seed on its host operator and judge the search (_verdict).
+
+    A function of its own, so that a search's eigenvector is released before
+    the next seed's search starts.
+    """
+    try:
+        res = targeted_eigenvalue(op, lv.energy)
+    except ConvergenceFailure as exc:
+        return LevelResult(lv, None, f"no convergence: {exc}", iterations=exc.iterations)
+    return _verdict(lv, res, grid, tail_filter)
+
+
 def find_bound_states(
     problem: BoundStateProblem,
     grid: GridSpec,
@@ -566,23 +612,7 @@ def find_bound_states(
     and that run, per-level error ratios and a Richardson order estimate are
     attached.
     """
-    seeds = _seeds(problem, grid, n_max)
-    tail_filter = isinstance(problem.potential, CoulombKratzer)
-    operators = {
-        host: discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
-        for host in dict.fromkeys(host for _, host in seeds)
-    }
-
-    levels = []
-    for lv, host in seeds:
-        try:
-            res = targeted_eigenvalue(operators[host], lv.energy)
-        except ConvergenceFailure as exc:
-            reason = f"no convergence: {exc}"
-            levels.append(LevelResult(lv, None, reason, iterations=exc.iterations))
-        else:
-            levels.append(_verdict(lv, res, grid, tail_filter))
-    result = SpectrumResult(levels=levels)
+    result = SpectrumResult(levels=_search(problem, grid, n_max))
     if not two_grid:
         return result
 
@@ -607,7 +637,7 @@ def find_bound_states(
         order_estimate=float(np.median(orders)) if orders else None,
         fine=fine,
     )
-    return SpectrumResult(levels=levels, convergence=convergence)
+    return SpectrumResult(levels=result.levels, convergence=convergence)
 
 
 def _spectral_edge(op: DiscretizedOperator) -> complex:
@@ -631,7 +661,8 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
 
     n = op.size
     shift, solve = _shifted_solver(op, -op.norm_inf)
-    inverse = LinearOperator((n, n), matvec=solve, dtype=complex)
+    # ARPACK hands matvec a view of its workspace, which solve must not overwrite
+    inverse = LinearOperator((n, n), matvec=lambda x: solve(x.copy()), dtype=complex)
     try:
         mu, vectors = eigs(
             inverse, k=EDGE_BLOCK, v0=_start_vector(n), maxiter=INVERSE_ITERATION_CAP

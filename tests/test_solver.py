@@ -21,7 +21,9 @@ from ptspec.solver import (
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
+    _seeds,
     _spectral_edge,
+    _verdict,
     auto_box,
     discretize,
     eigenvector_asymptotics,
@@ -173,6 +175,20 @@ class TestFullSpectrum:
         vals = full_spectrum(op)
         order = np.lexsort((vals.imag, vals.real))
         np.testing.assert_array_equal(order, np.arange(len(vals)))
+
+    @pytest.mark.parametrize("N", [127, 199])
+    def test_in_place_dense_route_matches_copying_route(self, N):
+        # the A5 grids: the column-major matrix that eigvals overwrites gives the
+        # same eigenvalue bits as a C-ordered sum of three np.diag, which eigvals copies
+        import scipy.linalg
+
+        op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, N))
+        summed = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
+        dense = op.to_dense()
+        assert dense.flags.f_contiguous
+        np.testing.assert_array_equal(dense, summed)
+        vals = scipy.linalg.eigvals(summed)
+        np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
 
     def test_ceiling_enforced(self):
         def zeros(n):
@@ -407,6 +423,22 @@ class TestFindBoundStates:
         assert first.reason == "no convergence: stalled" and first.iterations == 200
         assert all(r.eigenvalue is not None for r in res.levels[1:])
 
+    def test_host_by_host_search_matches_one_search_per_seed(self):
+        # at L = 1.3 the table order alternates hosts (-Z, Z, -Z, Z, ...), so
+        # solving host by host reorders the searches; no result may move
+        problem, grid = ck_problem(L=1.3), GridSpec(30.0, 2000)
+        seeds = _seeds(problem, grid, 2)
+        assert [host.Z for _, host in seeds][:4] == [-1.0, 1.0, -1.0, 1.0]
+        expected = []
+        for lv, host in seeds:
+            op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+            bands = (op.diag.copy(), op.sub.copy(), op.sup.copy())
+            expected.append(_verdict(lv, targeted_eigenvalue(op, lv.energy), grid, True))
+            # the banded LU and the iteration run in place, never on the operator
+            for band, before in zip((op.diag, op.sub, op.sup), bands):
+                np.testing.assert_array_equal(band, before)
+        assert find_bound_states(problem, grid, 2).levels == expected
+
     def test_two_grid_keeps_fine_run(self):
         grid = GridSpec(30.0, 2000)
         res = find_bound_states(ck_problem(), grid, n_max=1, two_grid=True)
@@ -414,6 +446,24 @@ class TestFindBoundStates:
         assert res.convergence.fine.levels == fine.levels
         assert fine.unmatched  # the unmatched seeds are kept too
         assert res.convergence.h_fine == GridSpec(30.0, 2 * grid.N + 1).h
+
+
+def test_two_grid_working_set():
+    # one grid, one host operator, its in-place banded LU and a few N-vectors
+    # at a time: the traced peak of a two-grid search stays near 11 vectors
+    # of the fine grid
+    import tracemalloc
+
+    grid = GridSpec(15.0, 2000)
+    find_bound_states(ck_problem(), grid, n_max=2, two_grid=True)  # load the lazy imports
+    tracemalloc.start()
+    try:
+        find_bound_states(ck_problem(), grid, n_max=2, two_grid=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    vector = 16 * (2 * grid.N + 1)  # bytes of one complex vector on the fine grid
+    assert peak <= 13 * vector, f"peak {peak / vector:.1f} fine-grid vectors"
 
 
 def test_instability_probe_trend():
