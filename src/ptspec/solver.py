@@ -37,7 +37,9 @@ import numpy as np
 
 from . import analytic
 from .analytic import Level
-from .contour import Contour, StraightLine, UShaped, derivatives, evaluate
+# evaluate is not called here, but stays importable as ptspec.solver.evaluate,
+# the name the bench tracer wraps
+from .contour import Contour, StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
 from .errors import (
     ConvergenceFailure,
     DomainError,
@@ -82,6 +84,7 @@ SPURIOUS_RATE_FRACTION = 0.05
 MIN_DECAY_LENGTHS = 3.0  # seed a level only when S >= 3 / kappa
 MIN_AUTO_BOX = 15.0
 _START_SEED = 0x5EED
+_EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every step
 
 
 @dataclass(frozen=True)
@@ -156,10 +159,15 @@ class DiscretizedOperator:
         return m
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        out = self.diag * v
+        n = self.size
+        return self._matvec_into(v, np.empty(n, dtype=complex), np.empty(n, dtype=complex))
+
+    def _matvec_into(self, v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+        """op @ v written into out, with work holding the off-diagonal products."""
+        np.multiply(self.diag, v, out=out)
         if self.size > 1:
-            out[1:] += self.sub * v[:-1]
-            out[:-1] += self.sup * v[1:]
+            out[1:] += np.multiply(self.sub, v[:-1], out=work[1:])
+            out[:-1] += np.multiply(self.sup, v[1:], out=work[:-1])
         return out
 
     @cached_property
@@ -173,6 +181,18 @@ class DiscretizedOperator:
             rows[1:] += np.abs(self.sub)
             rows[:-1] += np.abs(self.sup)
         return float(rows.max())
+
+    @cached_property
+    def start_vector(self) -> np.ndarray:
+        """Unit inverse-iteration start vector (_start_vector), read-only.
+
+        Cached like norm_inf: every search on this operator starts from a
+        copy of it.
+        """
+        v = _start_vector(self.size)
+        v /= np.linalg.norm(v)
+        v.flags.writeable = False
+        return v
 
     def pt_defect(self) -> float:
         """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
@@ -230,9 +250,8 @@ def discretize(
     if coupled and abs(L - round(L)) < INTEGER_L_TOL:
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
-    s = grid.nodes()
-    x = evaluate(contour, s)
-    w_node = 1.0 / derivatives(contour, s)  # 1/x' at the nodes
+    x, xp = _path(contour, grid.nodes())  # x and x' at the nodes
+    w_node = np.divide(1.0, xp, out=xp)  # 1/x', in place of x'
     w_mid = 1.0 / derivatives(contour, grid.midpoints())  # 1/x' at the N+1 flux midpoints
 
     coeff = evaluate_potential(potential, x)
@@ -299,7 +318,8 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
     singular: it is nudged off the singularity once and the band, which the
     failed factorization overwrote, is rebuilt and refactored.  solve(v)
     applies (op - shift*I)^-1 in O(N) by gbtrs, in v's own storage: v is
-    overwritten with the result, which is returned.  Either LAPACK failure
+    overwritten with the result, which is returned.  A read-only v raises
+    ValueError (gbtrs would write through the flag); either LAPACK failure
     raises ConvergenceFailure.
     """
     from scipy.linalg import get_lapack_funcs  # deferred: see full_spectrum
@@ -310,7 +330,7 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
         # 2*kl + ku + 1 rows for kl = ku = 1; column-major, so gbtrf factors it in place
         ab = np.zeros((4, op.size), dtype=complex, order="F")
         ab[1, 1:] = op.sup
-        ab[2, :] = op.diag - shift
+        np.subtract(op.diag, shift, out=ab[2])
         ab[3, :-1] = op.sub
         return gbtrf(ab, 1, 1, overwrite_ab=1)
 
@@ -322,6 +342,8 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
         raise ConvergenceFailure(f"banded LU factorization failed (info={info})")
 
     def solve(v: np.ndarray) -> np.ndarray:
+        if not v.flags.writeable:
+            raise ValueError("solve(v) overwrites v, which is read-only")
         w, solve_info = gbtrs(lu, 1, 1, v, piv, overwrite_b=1)
         if solve_info != 0:
             raise ConvergenceFailure(f"banded solve failed (info={solve_info})")
@@ -331,9 +353,15 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """Complex Gaussian start vector from the fixed seed: runs repeat bitwise."""
+    """Complex Gaussian start vector from the fixed seed: runs repeat bitwise.
+
+    The real parts are drawn before the imaginary parts.
+    """
     rng = np.random.default_rng(_START_SEED)
-    return rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = np.empty(n, dtype=complex)
+    v.real = rng.standard_normal(n)
+    v.imag = rng.standard_normal(n)
+    return v
 
 
 def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
@@ -342,7 +370,7 @@ def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
     The estimate is accepted once its residual is at most the larger of
     RESIDUAL_TOL * max(1, |lam|) and eps * ||op||_inf (see targeted_eigenvalue).
     """
-    return RESIDUAL_TOL * max(1.0, abs(lam)), np.finfo(float).eps * op.norm_inf
+    return RESIDUAL_TOL * max(1.0, abs(lam)), _EPS * op.norm_inf
 
 
 def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResult:
@@ -359,25 +387,41 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     4/h^2, so only fine grids stop on it.  The returned eigenvector has unit
     norm and its first significant component is made real positive, which
     pins the overall phase across repeated runs.
+
+    Every search on one operator starts from a copy of op.start_vector, so a
+    result depends only on the operator and the shift.  A step allocates
+    nothing of size N: the solve works in the iterate's storage, op v and
+    op v - lambda v go into two buffers made once per search, each 2-norm
+    is sqrt(re.re + im.im), the sum np.linalg.norm forms, and the iterate
+    is scaled by 1/norm as numpy's division by a real scales it.  The
+    results are the bits the plain matvec/norm/divide loop gives.
     """
     n = op.size
     if n == 0:
         raise DomainError("empty operator")
+    # formed (and cached) before the LU and the buffers below hold memory:
+    # at the first step's _residual_bound its temporaries would add to them
+    op.norm_inf
     shift, solve = _shifted_solver(op, shift)
-    v = _start_vector(n)
-    v /= np.linalg.norm(v)
+    v = op.start_vector.copy()
+    hv = np.empty(n, dtype=complex)  # op v, then op v - lambda v
+    work = np.empty(n, dtype=complex)  # off-diagonal products, then lambda v
     lam = complex(shift)
     residual = math.inf
     for iteration in range(1, INVERSE_ITERATION_CAP + 1):
-        w = solve(v)  # in place: v's storage now holds w
-        norm_w = np.linalg.norm(w)
-        if not np.isfinite(norm_w) or norm_w == 0.0:
+        v = solve(v)  # in place: the iterate's storage now holds (op - shift)^-1 v
+        v_re, v_im = v.real, v.imag
+        norm = math.sqrt(v_re.dot(v_re) + v_im.dot(v_im))
+        if not math.isfinite(norm) or norm == 0.0:
             raise ConvergenceFailure("inverse iteration produced a degenerate vector")
-        v = np.divide(w, norm_w, out=w)
-        hv = op.matvec(v)
+        # v / norm as numpy divides by a real: both parts times 1 / norm (its
+        # extra re*0 and im*0 terms can change only the sign of a zero part)
+        parts = v.view(float)
+        np.multiply(parts, 1.0 / norm, out=parts)
+        op._matvec_into(v, hv, work)
         lam = complex(np.vdot(v, hv))
-        hv -= lam * v
-        residual = float(np.linalg.norm(hv))
+        hv -= np.multiply(lam, v, out=work)
+        residual = math.sqrt(hv.real.dot(hv.real) + hv.imag.dot(hv.imag))
         if residual <= max(_residual_bound(lam, op)):
             break
     else:
@@ -389,9 +433,10 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
             iterations=INVERSE_ITERATION_CAP,
         )
 
+    del hv, work  # released before |v| is formed
     mags = np.abs(v)
-    significant = np.nonzero(mags >= 1e-6 * mags.max())[0][0]
-    v = v * (np.conj(v[significant]) / mags[significant])
+    significant = int(np.argmax(mags >= 1e-6 * mags.max()))
+    v *= np.conj(v[significant]) / mags[significant]
     return TargetedResult(
         eigenvalue=lam, eigenvector=v, iterations=iteration, residual=residual
     )
@@ -609,8 +654,10 @@ def find_bound_states(
     eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|), unless
     its eigenvector tails do not decay (both fitted rates below 5% of kappa:
     a continuum artifact).  With two_grid=True the run is repeated at h/2,
-    and that run, per-level error ratios and a Richardson order estimate are
-    attached.
+    and that run, the per-level error ratios |delta| coarse / fine, and
+    order_estimate, the median of log2 over the positive ratios, are
+    attached.  order_estimate is an order of convergence only where every
+    level's error shrinks as a power of h; it is not a Richardson estimate.
     """
     result = SpectrumResult(levels=_search(problem, grid, n_max))
     if not two_grid:

@@ -15,13 +15,16 @@ from ptspec.errors import (
     SingularL,
     UnsupportedGeometry,
 )
+from ptspec import solver
 from ptspec.model import BenderBoettcher, CoulombKratzer
 from ptspec.solver import (
     DENSE_CEILING,
     BoundStateProblem,
     DiscretizedOperator,
     GridSpec,
+    _residual_bound,
     _seeds,
+    _shifted_solver,
     _spectral_edge,
     _verdict,
     auto_box,
@@ -231,9 +234,41 @@ class TestTargeted:
     def test_repeat_runs_bit_identical(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
         a = targeted_eigenvalue(op, DEEP)
+        start = op.start_vector.copy()
         b = targeted_eigenvalue(op, DEEP)
-        assert a.eigenvalue == b.eigenvalue
+        assert (a.eigenvalue, a.iterations, a.residual) == (b.eigenvalue, b.iterations, b.residual)
         np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
+        np.testing.assert_array_equal(op.start_vector, start)
+        # the LAPACK wrapper's overwrite_b ignores the read-only flag, so the
+        # solve checks it: a stray in-place solve of the start vector raises
+        _, solve = _shifted_solver(op, DEEP)
+        with pytest.raises(ValueError, match="read-only"):
+            solve(op.start_vector)
+        np.testing.assert_array_equal(op.start_vector, start)
+
+    @pytest.mark.parametrize("case", ["A1 deep level", "oscillator", "iteration cap"])
+    def test_same_bits_as_plain_loop(self, case):
+        if case == "A1 deep level":
+            op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 4000))
+            shift = DEEP
+        elif case == "oscillator":
+            op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 800))
+            shift = 2.9
+        else:  # level (1, +1) at L = 1.65 stalls near residual 1e-2
+            problem, grid = ck_problem(L=1.65), GridSpec(30.0, 2000)
+            lv, host = next(s for s in _seeds(problem, grid, 2) if (s[0].n, s[0].sigma) == (1, 1))
+            op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+            shift = lv.energy
+        lam, vector, iterations, residual = _plain_inverse_iteration(op, shift)
+        if case == "iteration cap":
+            assert lam is None and iterations == solver.INVERSE_ITERATION_CAP
+            with pytest.raises(ConvergenceFailure) as excinfo:
+                targeted_eigenvalue(op, shift)
+            assert (excinfo.value.iterations, excinfo.value.residual) == (iterations, residual)
+            return
+        res = targeted_eigenvalue(op, shift)
+        assert (res.eigenvalue, res.iterations, res.residual) == (lam, iterations, residual)
+        np.testing.assert_array_equal(res.eigenvector, vector)
 
     def test_dirichlet_ends_small(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 2000))
@@ -288,6 +323,34 @@ class TestTargeted:
         # the floor term existed, so the outputs on these grids cannot move
         op = discretize(problem.contour, problem.potential, problem.L, problem.mass_sign, grid)
         assert np.finfo(float).eps * op.norm_inf < 1e-10
+
+
+def _plain_inverse_iteration(op, shift):
+    """targeted_eigenvalue's arithmetic with fresh arrays at every step.
+
+    The oracle for its buffered loop: the start vector a + 1j*b is drawn
+    anew, op v is formed band by band, and the norms are np.linalg.norm.
+    Returns (eigenvalue, eigenvector, iterations, residual); eigenvalue and
+    eigenvector are None when the iteration cap is hit.
+    """
+    shift, solve = _shifted_solver(op, shift)
+    rng = np.random.default_rng(solver._START_SEED)
+    v = rng.standard_normal(op.size) + 1j * rng.standard_normal(op.size)
+    v /= np.linalg.norm(v)
+    lam = complex(shift)
+    for iteration in range(1, solver.INVERSE_ITERATION_CAP + 1):
+        w = solve(v)
+        v = w / np.linalg.norm(w)
+        hv = op.diag * v
+        hv[1:] += op.sub * v[:-1]
+        hv[:-1] += op.sup * v[1:]
+        lam = complex(np.vdot(v, hv))
+        residual = float(np.linalg.norm(hv - lam * v))
+        if residual <= max(_residual_bound(lam, op)):
+            mags = np.abs(v)
+            first = np.nonzero(mags >= 1e-6 * mags.max())[0][0]
+            return lam, v * (np.conj(v[first]) / mags[first]), iteration, residual
+    return None, None, iteration, residual
 
 
 class TestEigenvectorAsymptotics:
