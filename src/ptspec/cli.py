@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analytic, solver
 from .contour import StraightLine, UShaped, derivatives, evaluate
-from .errors import ConvergenceFailure, FitError, PtspecError
+from .errors import ConvergenceFailure, PtspecError
 from .model import CoulombKratzer, MassConfig, stability_verdict
 
 __all__ = ["load_config", "main"]
@@ -367,7 +367,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConvergenceFailure, FitError) as exc:
+    except ConvergenceFailure as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
     except PtspecError as exc:

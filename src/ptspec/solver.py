@@ -1,17 +1,18 @@
 """Finite-difference discretization along a contour and eigenvalue extraction.
 
-The Schrodinger operator is discretized in the path parameter s.  With
-x = x(s) the chain rule turns the kinetic term into
+The Schrodinger operator is discretized in a grid parameter t, uniform on
+[-S, S], whose nodes sit on the path at s = g(t): g(t) = t on a plain grid,
+g(t) = a*sinh(t/a) on a stretched one (GridSpec.stretch).  With
+x = x(g(t)) the chain rule turns the kinetic term into
 
-    d^2/dx^2 = (1/x') d/ds (1/x') d/ds
-             = (1/x'^2) d^2/ds^2 - (x''/x'^3) d/ds,
+    d^2/dx^2 = (1/x_t) d/dt (1/x_t) d/dt,   x_t = x'(g(t)) g'(t),
 
-and the first, conservative form is the one discretized: second-order flux
-differences with 1/x' sampled at the cell midpoints, Dirichlet ends.  The
+and this conservative form is the one discretized: second-order flux
+differences with 1/x_t sampled at the cell midpoints, Dirichlet ends.  The
 conservative form is essential on the U path, where x'' jumps at the arc
-junctions; expanding the first-derivative term and applying plain central
-differences there loses an order of eigenvalue accuracy (measured: the deep
-level stalls near 4e-3 instead of converging ~h^2).
+junctions; expanding it into a first-derivative term and applying plain
+central differences there loses an order of eigenvalue accuracy (measured:
+the deep level stalls near 4e-3 instead of converging ~h^2).
 
 The assembled operator is the bare-mass sign times the full positive-mass
 Hamiltonian,
@@ -22,8 +23,8 @@ because the negative-mass amendment is exactly an overall sign flip; the
 point spectrum is insensitive to the accompanying coupling-sign change.
 
 Grid nodes and midpoints are constructed mirror-symmetrically
-(s[N-1-k] == -s[k] bitwise), which makes the discrete conjugate-reflection
-identity of PT-symmetric inputs exact in floating point.
+(t[N-1-k] == -t[k] bitwise, and so g(t) too), which makes the discrete
+conjugate-reflection identity of PT-symmetric inputs exact in floating point.
 """
 
 from __future__ import annotations
@@ -73,6 +74,7 @@ __all__ = [
     "eigenvector_asymptotics",
     "positive_mass_instability_probe",
     "auto_box",
+    "aligned_grid",
 ]
 
 DENSE_CEILING = 2000  # largest size full_spectrum accepts
@@ -80,41 +82,87 @@ INVERSE_ITERATION_CAP = 200
 RESIDUAL_TOL = 1e-10  # relative part of the stopping rule, see _residual_bound
 EDGE_BLOCK = 4  # two conjugate pairs at the left edge, see _spectral_edge
 MATCH_ABS_TOL = 1e-3
-SPURIOUS_RATE_FRACTION = 0.05
-MIN_DECAY_LENGTHS = 3.0  # seed a level only when S >= 3 / kappa
+CONTINUUM_END_FRACTION = 0.05  # see _verdict
+MIN_DECAY_LENGTHS = 3.0  # seed a level only when its reach is >= 3 / kappa
 MIN_AUTO_BOX = 15.0
+STRETCH = 4.0  # a in the Coulomb-Kratzer search's path map s = a*sinh(t/a)
 _START_SEED = 0x5EED
 _EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every step
 
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Uniform grid on [-S, S]: N interior nodes, step h = 2S/(N+1), Dirichlet ends."""
+    """N interior nodes uniform in t on [-S, S], step h = 2S/(N+1), Dirichlet ends.
+
+    The node at t sits on the path at s = t, or, with stretch = a > 0, at
+    s = g(t) = a*sinh(t/a): near the origin the step in s is about h, and it
+    grows like e^(|t|/a) outward, so the ends reach much farther than S.
+    """
 
     S: float
     N: int
+    stretch: float = 0.0
 
     def __post_init__(self):
         if not self.S > 0:
             raise DomainError(f"S must be > 0, got {self.S}")
         if self.N < 16:
             raise DomainError(f"N must be >= 16, got {self.N}")
+        if not self.stretch >= 0:
+            raise DomainError(f"stretch must be >= 0, got {self.stretch}")
 
     @property
     def h(self) -> float:
         return 2.0 * self.S / (self.N + 1)
 
+    @property
+    def reach(self) -> float:
+        """|s| at the Dirichlet ends: g(S)."""
+        a = self.stretch
+        return a * math.sinh(self.S / a) if a else self.S
+
     def nodes(self) -> np.ndarray:
-        s = -self.S + self.h * np.arange(1, self.N + 1)
-        return _mirrored(s)
+        t = -self.S + self.h * np.arange(1, self.N + 1)
+        return _mirrored(t)
 
     def midpoints(self) -> np.ndarray:
         """The N+1 cell midpoints bracketing the nodes."""
-        s = self.nodes()
+        t = self.nodes()
         m = np.empty(self.N + 1)
-        m[0] = s[0] - 0.5 * self.h
-        m[1:] = s + 0.5 * self.h
+        m[0] = t[0] - 0.5 * self.h
+        m[1:] = t + 0.5 * self.h
         return _mirrored(m)
+
+    def on_path(self, t: np.ndarray) -> tuple:
+        """(s, ds/dt) at the grid parameters t; ds/dt is None on a plain grid.
+
+        Formed from |t|, so mirrored t give mirrored s and even ds/dt bitwise.
+        """
+        a = self.stretch
+        if not a:
+            return t, None
+        u = np.abs(t) / a
+        return np.copysign(a * np.sinh(u), t), np.cosh(u)
+
+
+def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
+    """The stretched grid that the Coulomb-Kratzer search runs on for (S, N).
+
+    Nodes uniform in t on [-T, T], placed at s = STRETCH*sinh(t/STRETCH).
+    T is the largest value <= S that puts the arc junction, at
+    t_J = STRETCH*asinh(pi*eps/(2*STRETCH)), on a node: node k sits at
+    t = 2jT/(N+1) with j = k - (N+1)/2, so T = t_J(N+1)/(2j) for the
+    smallest j >= t_J(N+1)/(2S) that makes k an integer.  The step never
+    exceeds 2S/(N+1), and N -> 2N+1 at the same T keeps every node, the
+    junction's included.  The width-zero contour has no junction: T = S.
+    """
+    a = STRETCH
+    t_j = a * math.asinh(contour.junction / a)
+    if t_j == 0.0:
+        return GridSpec(S=grid.S, N=grid.N, stretch=a)
+    half = 0.5 * (grid.N + 1)
+    j = half + math.ceil(t_j * half / grid.S - half)
+    return GridSpec(S=t_j * half / j, N=grid.N, stretch=a)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:
@@ -235,10 +283,11 @@ def discretize(
     """Assemble the tridiagonal operator for the given model on the grid.
 
     Fold any 1/x^2 coupling into L before calling; the potential argument
-    should then carry only the remaining terms.  A node may sit on a U-path
-    junction: x' is continuous there and x'' is never sampled.  Raises
-    GeometryError for the width-zero contour and SingularL for a
-    Coulomb-Kratzer run at integer L.
+    should then carry only the remaining terms.  On a stretched grid x and
+    x_t = x'(g(t)) g'(t) are taken at s = g(t) (see GridSpec.on_path).  A
+    node may sit on a U-path junction: x' is continuous there and x'' is
+    never sampled.  Raises GeometryError for the width-zero contour and
+    SingularL for a Coulomb-Kratzer run at integer L.
     """
     if mass_sign not in (1, -1):
         raise DomainError(f"mass_sign must be +1 or -1, got {mass_sign}")
@@ -250,9 +299,15 @@ def discretize(
     if coupled and abs(L - round(L)) < INTEGER_L_TOL:
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
-    x, xp = _path(contour, grid.nodes())  # x and x' at the nodes
-    w_node = np.divide(1.0, xp, out=xp)  # 1/x', in place of x'
-    w_mid = 1.0 / derivatives(contour, grid.midpoints())  # 1/x' at the N+1 flux midpoints
+    s, ds = grid.on_path(grid.nodes())
+    x, xp = _path(contour, s)  # x and x' at the nodes
+    m, dm = grid.on_path(grid.midpoints())
+    xp_mid = derivatives(contour, m)  # x' at the N+1 flux midpoints
+    if ds is not None:
+        xp *= ds
+        xp_mid *= dm
+    w_node = np.divide(1.0, xp, out=xp)  # 1/x_t, in place of x_t
+    w_mid = np.divide(1.0, xp_mid, out=xp_mid)
 
     coeff = evaluate_potential(potential, x)
     lam = L * (L + 1.0)
@@ -261,7 +316,7 @@ def discretize(
             raise SingularPoint("centrifugal term evaluated at x = 0")
         coeff = coeff + lam / (x * x)
 
-    # -(1/x') d/ds (1/x') d/ds in conservative form:
+    # -(1/x_t) d/dt (1/x_t) d/dt in conservative form:
     # row j:  -(w_node[j]/h^2) * (w_mid[j+1]*(v[j+1]-v[j]) - w_mid[j]*(v[j]-v[j-1]))
     h2 = grid.h * grid.h
     diag = mass_sign * (w_node * (w_mid[1:] + w_mid[:-1]) / h2 + coeff)
@@ -445,15 +500,17 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
 def eigenvector_asymptotics(eigenvector: np.ndarray, grid: GridSpec) -> dict:
     """Exponential decay rates fitted on the outer quarters of the grid.
 
-    Least squares on log|psi| against s, separately for each tail.  Nodes in
-    the outermost tenth of each window are dropped (the Dirichlet end bends
-    the tail there), as are underflowed magnitudes.  For a bound state of
-    energy -kappa^2 both rates approach kappa.
+    Least squares on log|psi| against the path parameter s of the nodes,
+    separately for each tail.  Nodes in the outermost tenth of each window
+    are dropped (the Dirichlet end bends the tail there), as are underflowed
+    magnitudes.  For a bound state of energy -kappa^2 both rates approach
+    kappa while the tail stays above rounding level.  The bound-state search
+    does not call it: it judges a tail by its end magnitude (_verdict).
     """
     v = np.asarray(eigenvector)
     if v.size != grid.N:
         raise DomainError("eigenvector length does not match the grid")
-    s = grid.nodes()
+    s, _ = grid.on_path(grid.nodes())
     mag = np.abs(v)
     window = grid.N // 4
     if window < 4:
@@ -478,7 +535,8 @@ class LevelResult:
     """The search for one seeded level: what it found and, unless matched, why not.
 
     eigenvalue is None when the search did not converge; residual |lambda - E|
-    is set only on a match; the tail rates only when the fit ran.
+    is set only on a match; tail, the larger of the eigenvector's two end
+    magnitudes over its peak magnitude, only when the end check ran.
     """
 
     level: Level
@@ -486,8 +544,7 @@ class LevelResult:
     reason: Optional[str]
     residual: Optional[float] = None
     iterations: Optional[int] = None
-    left_rate: Optional[float] = None
-    right_rate: Optional[float] = None
+    tail: Optional[float] = None
 
     @property
     def matched(self) -> bool:
@@ -522,8 +579,9 @@ class SpectrumResult:
 def auto_box(Z: float, L: float, n_max: int) -> float:
     """Half-width S that seeds every negative-mass level up to n_max.
 
-    The largest of MIN_AUTO_BOX and MIN_DECAY_LENGTHS / kappa over the levels,
-    so that the seeding rule in _seeds admits each of them.
+    The largest of MIN_AUTO_BOX and MIN_DECAY_LENGTHS / kappa over the levels.
+    The search's reach g(T) (aligned_grid) is then at least S on every grid
+    the CLI builds, so the seeding rule in _seeds admits each of them.
     """
     table = analytic.spectrum_table(Z, L, n_max, mass_sign=-1)
     return max([MIN_AUTO_BOX] + [MIN_DECAY_LENGTHS / lv.kappa for lv in table if lv.kappa > 0])
@@ -532,8 +590,9 @@ def auto_box(Z: float, L: float, n_max: int) -> float:
 def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     """(level, host potential) pairs to search, in closed-form table order.
 
-    A Coulomb-Kratzer level is seeded only when S >= MIN_DECAY_LENGTHS / kappa,
-    and is hosted by the coupling sign under which it decays (_host_coupling).
+    A Coulomb-Kratzer level is seeded only when the grid's reach is at least
+    MIN_DECAY_LENGTHS / kappa, and is hosted by the coupling sign under which
+    it decays (_host_coupling).
     """
     p, contour, L = problem.potential, problem.contour, problem.L
     if (
@@ -564,7 +623,7 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     return [
         (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv), F=0.0))
         for lv in analytic.spectrum_table(p.Z, L, n_max, mass_sign=-1)
-        if lv.kappa > 0 and MIN_DECAY_LENGTHS / lv.kappa <= grid.S
+        if lv.kappa > 0 and MIN_DECAY_LENGTHS / lv.kappa <= grid.reach
     ]
 
 
@@ -581,25 +640,34 @@ def _host_coupling(Z: float, L: float, lv: Level) -> float:
     return Z if Z * lv.sigma * den > 0 else -Z
 
 
-def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, tail_filter: bool) -> LevelResult:
-    """Match a converged search to its seed: the tolerance first, then the tail filter."""
+def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, end_check: bool) -> LevelResult:
+    """Match a converged search to its seed: the tolerance first, then the end check.
+
+    The end check rejects an eigenvector whose magnitude at either Dirichlet
+    end exceeds CONTINUUM_END_FRACTION of its peak: a state that has not
+    decayed by the ends of the grid is a box mode of the continuum.  On the
+    stretched seed-1 validate-sweep grids every in-tolerance bound state
+    ends at or below 7.3e-3 of its peak, while a plane wave ends near 1 and
+    the box modes sin(k(s + g(T))) at (15, 4000) end at 0.16 to 0.81 for
+    k = 1 to 0.05.  Decay rates fitted to the tail (eigenvector_asymptotics)
+    cannot judge this: a deep level's tail falls to a rounding plateau long
+    before the ends, and the rate fitted on the plateau reads near 0.
+    """
     found = {"level": lv, "eigenvalue": res.eigenvalue, "iterations": res.iterations}
     delta = abs(res.eigenvalue - lv.energy)
     tol = max(MATCH_ABS_TOL, 5.0 * grid.h * grid.h * abs(lv.energy))
     if delta > tol:
         return LevelResult(**found, reason=f"nearest eigenvalue off by {delta:.3e} (> {tol:.3e})")
-    if not tail_filter:
+    if not end_check:
         return LevelResult(**found, reason=None, residual=delta)
-    try:
-        rates = eigenvector_asymptotics(res.eigenvector, grid)
-    except FitError as exc:
-        return LevelResult(**found, reason=str(exc))
-    floor = SPURIOUS_RATE_FRACTION * lv.kappa
-    if rates["left_rate"] < floor and rates["right_rate"] < floor:
+    v = res.eigenvector
+    tail = float(max(abs(v[0]), abs(v[-1])) / np.abs(v).max())
+    if tail > CONTINUUM_END_FRACTION:
         return LevelResult(
-            **found, **rates, reason="plane-wave-like eigenvector (continuum artifact)"
+            **found, tail=tail,
+            reason=f"eigenvector end at {tail:.2e} of its peak (continuum artifact)",
         )
-    return LevelResult(**found, **rates, reason=None, residual=delta)
+    return LevelResult(**found, tail=tail, reason=None, residual=delta)
 
 
 def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
@@ -611,19 +679,19 @@ def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     fixed), so grouping the seeds by host leaves every result unchanged.
     """
     seeds = _seeds(problem, grid, n_max)
-    tail_filter = isinstance(problem.potential, CoulombKratzer)
+    end_check = isinstance(problem.potential, CoulombKratzer)
     levels = [None] * len(seeds)
     for host in dict.fromkeys(host for _, host in seeds):
         op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
         for i, (lv, seed_host) in enumerate(seeds):
             if seed_host == host:
-                levels[i] = _search_level(op, lv, grid, tail_filter)
+                levels[i] = _search_level(op, lv, grid, end_check)
         del op
     return levels
 
 
 def _search_level(
-    op: DiscretizedOperator, lv: Level, grid: GridSpec, tail_filter: bool
+    op: DiscretizedOperator, lv: Level, grid: GridSpec, end_check: bool
 ) -> LevelResult:
     """Target one seed on its host operator and judge the search (_verdict).
 
@@ -634,7 +702,7 @@ def _search_level(
         res = targeted_eigenvalue(op, lv.energy)
     except ConvergenceFailure as exc:
         return LevelResult(lv, None, f"no convergence: {exc}", iterations=exc.iterations)
-    return _verdict(lv, res, grid, tail_filter)
+    return _verdict(lv, res, grid, end_check)
 
 
 def find_bound_states(
@@ -646,24 +714,31 @@ def find_bound_states(
     """Seed shift-invert searches at the closed-form level energies.
 
     Returns one LevelResult per seeded level, in closed-form table order.
-    Levels whose decay length 1/kappa exceeds S/3 are not seeded (the
-    Dirichlet truncation error would dominate them).  Each level is targeted
-    in the coupling-sign convention that hosts its decaying eigenfunction
-    (see _host_coupling).  A search that hits the iteration cap (see
-    targeted_eigenvalue) gets the reason "no convergence: ...".  A numeric
-    eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|), unless
-    its eigenvector tails do not decay (both fitted rates below 5% of kappa:
-    a continuum artifact).  With two_grid=True the run is repeated at h/2,
-    and that run, the per-level error ratios |delta| coarse / fine, and
-    order_estimate, the median of log2 over the positive ratios, are
-    attached.  order_estimate is an order of convergence only where every
-    level's error shrinks as a power of h; it is not a Richardson estimate.
+    A Coulomb-Kratzer search given a plain grid runs on
+    aligned_grid(contour, grid) instead, whose ends reach far past S; a
+    stretched grid is used as given, as is the oscillator's grid.  Levels
+    whose decay length 1/kappa exceeds a third of the reach are not seeded
+    (the Dirichlet truncation error would dominate them).  Each level is
+    targeted in the coupling-sign convention that hosts its decaying
+    eigenfunction (see _host_coupling).  A search that hits the iteration
+    cap (see targeted_eigenvalue) gets the reason "no convergence: ...".  A
+    numeric eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|),
+    h the step in t, unless a Coulomb-Kratzer eigenvector has not decayed by
+    the ends of the grid (see _verdict: a continuum artifact).  With
+    two_grid=True the run is repeated at N -> 2N+1 on the same [-S, S] in t,
+    which halves h and keeps every node, and that run, the per-level error
+    ratios |delta| coarse / fine, and order_estimate, the median of log2
+    over the positive ratios, are attached.  order_estimate is an order of
+    convergence only where every level's error shrinks as a power of h; it
+    is not a Richardson estimate.
     """
+    if isinstance(problem.contour, UShaped) and not grid.stretch:
+        grid = aligned_grid(problem.contour, grid)
     result = SpectrumResult(levels=_search(problem, grid, n_max))
     if not two_grid:
         return result
 
-    fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1)
+    fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1, stretch=grid.stretch)
     fine = find_bound_states(problem, fine_grid, n_max)
     fine_by_key = {(m.level.n, m.level.sigma): m for m in fine.matched}
     ratios = {}

@@ -84,13 +84,21 @@ def test_A4_convergence_order():
     osc = find_bound_states(oscillator_problem(), GridSpec(10.0, 2000), n_max=4, two_grid=True)
     osc_ratios = [osc.convergence.error_ratios[k] for k in sorted(osc.convergence.error_ratios)]
     ratios = [ck_ratio] + osc_ratios
-    ok = len(osc_ratios) == 5 and all(r is not None and 3.0 <= r <= 5.0 for r in ratios)
+    # the Coulomb-Kratzer grids keep the U-path junction on a node, so no
+    # junction phase modulates its h^2 constant: the ratio is held to 4 +- 0.01
+    ok = (
+        len(osc_ratios) == 5
+        and ck_ratio is not None
+        and 3.99 <= ck_ratio <= 4.01
+        and all(3.0 <= r <= 5.0 for r in osc_ratios)
+    )
     _report(
         "A4",
         ok,
         "halving h shrinks errors by "
         + ", ".join("none" if r is None else f"{r:.2f}" for r in ratios)
-        + " (required within [3, 5])",
+        + " (required within [3.99, 4.01] for the first, Coulomb-Kratzer (0,-1),"
+        " and within [3, 5] for the oscillator)",
     )
 
 

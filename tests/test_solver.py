@@ -27,6 +27,8 @@ from ptspec.solver import (
     _shifted_solver,
     _spectral_edge,
     _verdict,
+    TargetedResult,
+    aligned_grid,
     auto_box,
     discretize,
     eigenvector_asymptotics,
@@ -64,6 +66,55 @@ class TestGridSpec:
             GridSpec(S=0.0, N=100)
         with pytest.raises(DomainError):
             GridSpec(S=5.0, N=15)
+        with pytest.raises(DomainError):
+            GridSpec(S=5.0, N=100, stretch=-1.0)
+
+    def test_stretched_path_positions(self):
+        g = GridSpec(S=15.0, N=101, stretch=4.0)
+        assert g.reach == pytest.approx(4.0 * math.sinh(15.0 / 4.0), rel=1e-15)
+        assert GridSpec(S=15.0, N=101).reach == 15.0
+        for t in (g.nodes(), g.midpoints()):
+            s, ds = g.on_path(t)
+            np.testing.assert_array_equal(s, -s[::-1])
+            np.testing.assert_array_equal(ds, ds[::-1])
+            np.testing.assert_allclose(s, 4.0 * np.sinh(t / 4.0), rtol=1e-15)
+            np.testing.assert_allclose(ds, np.cosh(t / 4.0), rtol=1e-15)
+        t = GridSpec(S=15.0, N=101).nodes()
+        assert GridSpec(S=15.0, N=101).on_path(t) == (t, None)
+
+
+class TestAlignedGrid:
+    @given(
+        epsilon=st.floats(min_value=0.1, max_value=3.0),
+        S=st.floats(min_value=3.0, max_value=60.0),
+        N=st.integers(min_value=16, max_value=20000),
+    )
+    @example(epsilon=1.0, S=15.0, N=4000)  # the acceptance grids
+    @example(epsilon=1.0, S=30.0, N=8000)
+    @settings(max_examples=200, deadline=None)
+    def test_junction_on_a_node_within_the_box(self, epsilon, S, N):
+        grid = aligned_grid(UShaped(epsilon), GridSpec(S, N))
+        assert grid.N == N and grid.stretch == solver.STRETCH
+        assert grid.S <= S and grid.h <= 2.0 * S / (N + 1)
+        t_j = solver.STRETCH * math.asinh(0.5 * math.pi * epsilon / solver.STRETCH)
+        if t_j < grid.S:
+            k = (t_j + grid.S) / grid.h  # 1-based index of the junction's node
+            assert abs(k - round(k)) <= 1e-9 * N
+        # the largest such T: one more node between the junction and the end
+        # would push the end past S
+        j = t_j * (N + 1) / (2.0 * grid.S)
+        assert j <= 1.0 or t_j * (N + 1) / (2.0 * (j - 1.0)) > S
+
+    @pytest.mark.parametrize("N", [4000, 4001])
+    def test_halved_step_keeps_every_node(self, N):
+        coarse = aligned_grid(UShaped(1.0), GridSpec(15.0, N))
+        fine = GridSpec(coarse.S, 2 * N + 1, coarse.stretch)
+        np.testing.assert_allclose(fine.nodes()[1::2], coarse.nodes(), rtol=0, atol=1e-12)
+        assert fine.h == coarse.h / 2
+
+    def test_width_zero_contour_keeps_the_box(self):
+        grid = aligned_grid(UShaped(0.0), GridSpec(15.0, 100))
+        assert grid == GridSpec(15.0, 100, solver.STRETCH)
 
 
 class TestDiscretize:
@@ -101,6 +152,33 @@ class TestDiscretize:
         assume(abs(L - round(L)) > 1e-6)
         op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, mass_sign, GridSpec(S, N))
         assert op.pt_defect() == 0.0
+
+    @given(
+        epsilon=st.floats(min_value=0.1, max_value=3.0),
+        S=st.floats(min_value=2.0, max_value=40.0),
+        N=st.integers(min_value=16, max_value=600),
+        L=st.floats(min_value=-0.45, max_value=3.0),
+        Z=st.floats(min_value=-3.0, max_value=3.0),
+        mass_sign=st.sampled_from([1, -1]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_discrete_pt_identity_exact_on_stretched_grids(
+        self, epsilon, S, N, L, Z, mass_sign
+    ):
+        assume(abs(L - round(L)) > 1e-6)
+        grid = aligned_grid(UShaped(epsilon), GridSpec(S, N))
+        op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, mass_sign, grid)
+        assert op.pt_defect() == 0.0
+
+    def test_stretched_oscillator_levels(self):
+        # the chain rule through s = g(t): the stretched grid reaches s = 8.5
+        # with step h near the origin and keeps the levels 2n+1 to h^2
+        grid = GridSpec(6.0, 2001, stretch=4.0)
+        res = find_bound_states(oscillator_problem(), grid, n_max=4, two_grid=True)
+        assert res.matched == res.levels
+        np.testing.assert_allclose([r.eigenvalue for r in res.levels], [1, 3, 5, 7, 9], atol=2e-4)
+        ratios = list(res.convergence.error_ratios.values())
+        assert len(ratios) == 5 and all(3.9 <= r <= 4.1 for r in ratios)
 
     def test_oscillator_matrix_is_real_symmetric(self):
         op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 200))
@@ -396,7 +474,7 @@ class TestFindBoundStates:
         deep = [m for m in res.matched if (m.level.n, m.level.sigma) == (0, -1)]
         assert len(deep) == 1
         assert deep[0].residual <= 1e-3
-        assert deep[0].left_rate == pytest.approx(deep[0].level.kappa, rel=0.05)
+        assert deep[0].tail <= 1e-8  # decayed to rounding level by the ends
 
     def test_both_n0_levels_matched_on_wide_grid(self):
         res = find_bound_states(ck_problem(), GridSpec(30.0, 4000), n_max=0)
@@ -408,7 +486,8 @@ class TestFindBoundStates:
         assert res.levels == [] and res.matched == [] and res.unmatched == []
 
     def test_shallow_levels_not_seeded_on_small_box(self):
-        # kappa(0, +1) = 1/2.6: needs S >= 7.8, so S = 5 seeds only the deep level
+        # kappa(0, +1) = 1/2.6 needs a reach >= 7.8; S = 5 reaches 4 sinh(5/4) = 6.4,
+        # so it seeds only the deep level
         res = find_bound_states(ck_problem(), GridSpec(5.0, 300), n_max=0)
         seeded = {(m.level.n, m.level.sigma) for m in res.matched} | {
             (u.level.n, u.level.sigma) for u in res.unmatched
@@ -429,14 +508,15 @@ class TestFindBoundStates:
             find_bound_states(prob, GridSpec(10.0, 64), 0)
 
     def test_two_grid_order_near_two(self):
-        # the junction phase inside its cell modulates the h^2 constant, so the
-        # clean second-order ratio is asserted at the acceptance grid pair
+        # the junction sits on a node of both grids, so no junction phase
+        # modulates the h^2 constant and the ratio is 4 to within 1e-3
         res = find_bound_states(ck_problem(), GridSpec(15.0, 4000), n_max=0, two_grid=True)
         conv = res.convergence
         assert conv is not None
-        assert conv.h_fine == pytest.approx(conv.h_coarse / 2)
-        ratio = conv.error_ratios[(0, -1)]
-        assert 3.0 <= ratio <= 5.0
+        assert conv.h_fine == conv.h_coarse / 2
+        assert set(conv.error_ratios) == {(0, -1), (0, 1)}
+        for ratio in conv.error_ratios.values():
+            assert 3.996 <= ratio <= 4.004
 
     def test_finer_grid_keeps_matched_levels(self):
         # at h ~ 1.3e-3 the residual floor eps * ||H|| exceeds 1e-10; seeds
@@ -456,7 +536,8 @@ class TestFindBoundStates:
     def test_levels_in_seed_order(self):
         grid = GridSpec(30.0, 2000)
         res = find_bound_states(ck_problem(), grid, n_max=1)
-        seeded = [lv for lv in spectrum_table(1.0, 0.3, 1, -1) if 3.0 / lv.kappa <= grid.S]
+        reach = aligned_grid(UShaped(1.0), grid).reach
+        seeded = [lv for lv in spectrum_table(1.0, 0.3, 1, -1) if 3.0 / lv.kappa <= reach]
         assert [r.level for r in res.levels] == seeded
         assert res.matched == [r for r in res.levels if r.reason is None]
         assert res.unmatched == [r for r in res.levels if r.reason is not None]
@@ -489,7 +570,8 @@ class TestFindBoundStates:
     def test_host_by_host_search_matches_one_search_per_seed(self):
         # at L = 1.3 the table order alternates hosts (-Z, Z, -Z, Z, ...), so
         # solving host by host reorders the searches; no result may move
-        problem, grid = ck_problem(L=1.3), GridSpec(30.0, 2000)
+        problem = ck_problem(L=1.3)
+        grid = aligned_grid(problem.contour, GridSpec(30.0, 2000))
         seeds = _seeds(problem, grid, 2)
         assert [host.Z for _, host in seeds][:4] == [-1.0, 1.0, -1.0, 1.0]
         expected = []
@@ -500,15 +582,101 @@ class TestFindBoundStates:
             # the banded LU and the iteration run in place, never on the operator
             for band, before in zip((op.diag, op.sub, op.sup), bands):
                 np.testing.assert_array_equal(band, before)
-        assert find_bound_states(problem, grid, 2).levels == expected
+        assert find_bound_states(problem, GridSpec(30.0, 2000), 2).levels == expected
 
     def test_two_grid_keeps_fine_run(self):
-        grid = GridSpec(30.0, 2000)
-        res = find_bound_states(ck_problem(), grid, n_max=1, two_grid=True)
-        fine = find_bound_states(ck_problem(), GridSpec(30.0, 2 * grid.N + 1), n_max=1)
+        # at L = 2.2 the (0,-1) and (1,-1) seeds stay unmatched on both grids
+        problem, grid = ck_problem(L=2.2), GridSpec(30.0, 2000)
+        res = find_bound_states(problem, grid, n_max=1, two_grid=True)
+        coarse = aligned_grid(problem.contour, grid)
+        fine_grid = GridSpec(coarse.S, 2 * grid.N + 1, coarse.stretch)  # same T, h/2
+        fine = find_bound_states(problem, fine_grid, n_max=1)
         assert res.convergence.fine.levels == fine.levels
         assert fine.unmatched  # the unmatched seeds are kept too
-        assert res.convergence.h_fine == GridSpec(30.0, 2 * grid.N + 1).h
+        assert res.convergence.h_fine == fine_grid.h
+
+
+def _keys(levels) -> set:
+    return {(r.level.n, r.level.sigma) for r in levels}
+
+
+class TestEndCheck:
+    """The Coulomb-Kratzer match's continuum check on the eigenvector's ends."""
+
+    GRID = aligned_grid(UShaped(1.0), GridSpec(15.0, 4000))
+    LEVEL = spectrum_table(1.0, 0.3, 0, -1)[0]
+
+    def judge(self, vector):
+        res = TargetedResult(self.LEVEL.energy, vector / np.linalg.norm(vector), 1, 0.0)
+        return _verdict(self.LEVEL, res, self.GRID, True)
+
+    def test_plane_wave_is_continuum(self):
+        s, _ = self.GRID.on_path(self.GRID.nodes())
+        verdict = self.judge(np.exp(2j * s))
+        assert not verdict.matched and "continuum" in verdict.reason
+        assert verdict.tail == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("k, end", [(0.05, 0.81), (0.2, 0.58), (1.0, 0.16)])
+    def test_box_modes_are_continuum(self, k, end):
+        # Dirichlet box modes sin(k(s + g(T))) end 3 to 16 times above 0.05
+        s, _ = self.GRID.on_path(self.GRID.nodes())
+        verdict = self.judge(np.sin(k * (s + self.GRID.reach)).astype(complex))
+        assert not verdict.matched and "continuum" in verdict.reason
+        assert verdict.tail == pytest.approx(end, abs=0.01)
+        assert verdict.tail > solver.CONTINUUM_END_FRACTION
+
+    def test_shallow_bound_state_ends_below_the_bound(self):
+        # the highest end of an in-tolerance level on the seed-1 validate-sweep
+        # grids: (2,+1) at L = 1.483, kappa * g(T) = 9.5, ends at 7.3e-3
+        res = find_bound_states(ck_problem(L=1.483), GridSpec(15.0, 4000), n_max=2)
+        (shallow,) = [r for r in res.levels if (r.level.n, r.level.sigma) == (2, 1)]
+        assert shallow.matched
+        assert 1e-3 < shallow.tail < solver.CONTINUUM_END_FRACTION / 5
+
+    def test_deep_level_on_a_rounding_plateau_matches(self):
+        # (0,-1) at L = 0.0287 (E = -303.5, kappa = 17.4) has fallen to
+        # rounding level long before the ends.  On the plain (15, 4000) grid
+        # the tail fit reads rates near 0 on that plateau, which the former
+        # rate filter took for a plane wave and discarded a level found to 1e-12
+        problem, grid = ck_problem(L=0.0287), GridSpec(15.0, 4000)
+        lv, host = _seeds(problem, grid, 0)[0]
+        assert (lv.n, lv.sigma) == (0, -1)
+        res = targeted_eigenvalue(discretize(problem.contour, host, problem.L, -1, grid), lv.energy)
+        assert abs(res.eigenvalue - lv.energy) < 1e-11
+        rates = eigenvector_asymptotics(res.eigenvector, grid)
+        assert max(rates.values()) < 0.05 * lv.kappa
+        deep = find_bound_states(problem, grid, 0).levels[0]
+        assert deep.level == lv and deep.matched and deep.tail < 1e-8
+
+
+@given(
+    L=st.floats(min_value=-0.45, max_value=2.45),
+    epsilon=st.floats(min_value=0.5, max_value=2.0),
+    S=st.floats(min_value=15.0, max_value=30.0),
+    n=st.integers(min_value=2000, max_value=4000),
+)
+@example(L=0.3, epsilon=1.0, S=15.0, n=1999)  # N = 3999
+@settings(max_examples=12, deadline=None)
+def test_matched_stays_matched_at_smaller_step_and_wider_box(L, epsilon, S, n):
+    # N odd, so that N -> 2N+1 at 2T keeps h and still puts the junction on a
+    # node.  The grids are those of the acceptance criteria and the sweep, h
+    # at most 0.015.  Two known defects of the search are kept out (CHANGES.md):
+    # - near an integer 2L+1 two levels of one host nearly coincide, e.g.
+    #   (1,+1) and (3,-1) at L = 0.5.  Inverse iteration from the closed-form
+    #   shift then stalls near its cap on some grids and not on others, and
+    #   on some grids the discrete pair has merged into a complex-conjugate
+    #   pair equidistant from the shift;
+    # - on coarse grids (h near 0.05) an error not yet in its h^2 regime can
+    #   pass 5 h^2 |E| at h and fail it at h/2.
+    assume(abs(2 * L + 1 - round(2 * L + 1)) > 0.01)
+    problem, N = ck_problem(L=L, eps=epsilon), 2 * n + 1
+    grid = aligned_grid(problem.contour, GridSpec(S, N))
+    matched = _keys(find_bound_states(problem, grid, 2).matched)
+    finer = GridSpec(grid.S, 2 * N + 1, grid.stretch)  # h halves
+    wider = GridSpec(2 * grid.S, 2 * N + 1, grid.stretch)  # S doubles at fixed h
+    assert wider.h == grid.h
+    for other in (finer, wider):
+        assert matched <= _keys(find_bound_states(problem, other, 2).matched)
 
 
 def test_two_grid_working_set():
