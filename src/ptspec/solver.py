@@ -2,7 +2,7 @@
 
 The Schrodinger operator is discretized in a grid parameter t, uniform on
 [-S, S], whose nodes sit on the path at s = g(t): g(t) = t on a plain grid,
-g(t) = a*sinh(t/a) on a stretched one (GridSpec.stretch).  With
+g(t) = a*sinh(t/a), a = STRETCH, on a stretched one.  With
 x = x(g(t)) the chain rule turns the kinetic term into
 
     d^2/dx^2 = (1/x_t) d/dt (1/x_t) d/dt,   x_t = x'(g(t)) g'(t),
@@ -94,32 +94,34 @@ _EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every st
 class GridSpec:
     """N interior nodes uniform in t on [-S, S], step h = 2S/(N+1), Dirichlet ends.
 
-    The node at t sits on the path at s = t, or, with stretch = a > 0, at
-    s = g(t) = a*sinh(t/a): near the origin the step in s is about h, and it
-    grows like e^(|t|/a) outward, so the ends reach much farther than S.
+    The node at t sits on the path at s = t, or, when stretched, at
+    s = g(t) = a*sinh(t/a), a = STRETCH: near the origin the step in s is
+    about h, and it grows like e^(|t|/a) outward, so the ends reach much
+    farther than S.
     """
 
     S: float
     N: int
-    stretch: float = 0.0
+    stretched: bool = False
 
     def __post_init__(self):
         if not self.S > 0:
             raise DomainError(f"S must be > 0, got {self.S}")
         if self.N < 16:
             raise DomainError(f"N must be >= 16, got {self.N}")
-        if not self.stretch >= 0:
-            raise DomainError(f"stretch must be >= 0, got {self.stretch}")
 
     @property
     def h(self) -> float:
         return 2.0 * self.S / (self.N + 1)
 
+    def refined(self) -> GridSpec:
+        """The same [-S, S] and path map at N -> 2N+1: h halves, every node stays."""
+        return GridSpec(self.S, 2 * self.N + 1, self.stretched)
+
     @property
     def reach(self) -> float:
         """|s| at the Dirichlet ends: g(S)."""
-        a = self.stretch
-        return a * math.sinh(self.S / a) if a else self.S
+        return STRETCH * math.sinh(self.S / STRETCH) if self.stretched else self.S
 
     def nodes(self) -> np.ndarray:
         t = -self.S + self.h * np.arange(1, self.N + 1)
@@ -138,11 +140,10 @@ class GridSpec:
 
         Formed from |t|, so mirrored t give mirrored s and even ds/dt bitwise.
         """
-        a = self.stretch
-        if not a:
+        if not self.stretched:
             return t, None
-        u = np.abs(t) / a
-        return np.copysign(a * np.sinh(u), t), np.cosh(u)
+        u = np.abs(t) / STRETCH
+        return np.copysign(STRETCH * np.sinh(u), t), np.cosh(u)
 
 
 def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
@@ -154,15 +155,15 @@ def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
     t = 2jT/(N+1) with j = k - (N+1)/2, so T = t_J(N+1)/(2j) for the
     smallest j >= t_J(N+1)/(2S) that makes k an integer.  The step never
     exceeds 2S/(N+1), and N -> 2N+1 at the same T keeps every node, the
-    junction's included.  The width-zero contour has no junction: T = S.
+    junction's included (GridSpec.refined).  The width-zero contour has no
+    junction: T = S.
     """
-    a = STRETCH
-    t_j = a * math.asinh(contour.junction / a)
+    t_j = STRETCH * math.asinh(contour.junction / STRETCH)
     if t_j == 0.0:
-        return GridSpec(S=grid.S, N=grid.N, stretch=a)
+        return GridSpec(S=grid.S, N=grid.N, stretched=True)
     half = 0.5 * (grid.N + 1)
     j = half + math.ceil(t_j * half / grid.S - half)
-    return GridSpec(S=t_j * half / j, N=grid.N, stretch=a)
+    return GridSpec(S=t_j * half / j, N=grid.N, stretched=True)
 
 
 def _mirrored(values: np.ndarray) -> np.ndarray:
@@ -536,7 +537,7 @@ class LevelResult:
 
     eigenvalue is None when the search did not converge; residual |lambda - E|
     is set only on a match; tail, the larger of the eigenvector's two end
-    magnitudes over its peak magnitude, only when the end check ran.
+    magnitudes over its peak magnitude, once the eigenvalue is in tolerance.
     """
 
     level: Level
@@ -553,8 +554,6 @@ class LevelResult:
 
 @dataclass(frozen=True)
 class TwoGridConvergence:
-    h_coarse: float
-    h_fine: float
     error_ratios: dict
     order_estimate: Optional[float]
     fine: SpectrumResult
@@ -562,9 +561,10 @@ class TwoGridConvergence:
 
 @dataclass(frozen=True)
 class SpectrumResult:
-    """One LevelResult per seeded level, in closed-form table order."""
+    """One LevelResult per seeded level, in closed-form table order, and their grid."""
 
     levels: list
+    grid: GridSpec
     convergence: Optional[TwoGridConvergence] = None
 
     @property
@@ -636,11 +636,11 @@ def _host_coupling(Z: float, L: float, lv: Level) -> float:
     Z * sigma * (2L+1+sigma(2n+1)) > 0; the search targets each level in its
     hosting convention.
     """
-    den = 2.0 * L + 1.0 + lv.sigma * (2 * lv.n + 1)
+    den = analytic._denominator(L, lv.n, lv.sigma)
     return Z if Z * lv.sigma * den > 0 else -Z
 
 
-def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, end_check: bool) -> LevelResult:
+def _verdict(lv: Level, res: TargetedResult, grid: GridSpec) -> LevelResult:
     """Match a converged search to its seed: the tolerance first, then the end check.
 
     The end check rejects an eigenvector whose magnitude at either Dirichlet
@@ -651,15 +651,14 @@ def _verdict(lv: Level, res: TargetedResult, grid: GridSpec, end_check: bool) ->
     the box modes sin(k(s + g(T))) at (15, 4000) end at 0.16 to 0.81 for
     k = 1 to 0.05.  Decay rates fitted to the tail (eigenvector_asymptotics)
     cannot judge this: a deep level's tail falls to a rounding plateau long
-    before the ends, and the rate fitted on the plateau reads near 0.
+    before the ends, and the rate fitted on the plateau reads near 0.  The
+    oscillator's levels, judged the same way, end at rounding level.
     """
     found = {"level": lv, "eigenvalue": res.eigenvalue, "iterations": res.iterations}
     delta = abs(res.eigenvalue - lv.energy)
     tol = max(MATCH_ABS_TOL, 5.0 * grid.h * grid.h * abs(lv.energy))
     if delta > tol:
         return LevelResult(**found, reason=f"nearest eigenvalue off by {delta:.3e} (> {tol:.3e})")
-    if not end_check:
-        return LevelResult(**found, reason=None, residual=delta)
     v = res.eigenvector
     tail = float(max(abs(v[0]), abs(v[-1])) / np.abs(v).max())
     if tail > CONTINUUM_END_FRACTION:
@@ -679,20 +678,17 @@ def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     fixed), so grouping the seeds by host leaves every result unchanged.
     """
     seeds = _seeds(problem, grid, n_max)
-    end_check = isinstance(problem.potential, CoulombKratzer)
     levels = [None] * len(seeds)
     for host in dict.fromkeys(host for _, host in seeds):
         op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
         for i, (lv, seed_host) in enumerate(seeds):
             if seed_host == host:
-                levels[i] = _search_level(op, lv, grid, end_check)
+                levels[i] = _search_level(op, lv, grid)
         del op
     return levels
 
 
-def _search_level(
-    op: DiscretizedOperator, lv: Level, grid: GridSpec, end_check: bool
-) -> LevelResult:
+def _search_level(op: DiscretizedOperator, lv: Level, grid: GridSpec) -> LevelResult:
     """Target one seed on its host operator and judge the search (_verdict).
 
     A function of its own, so that a search's eigenvector is released before
@@ -702,7 +698,7 @@ def _search_level(
         res = targeted_eigenvalue(op, lv.energy)
     except ConvergenceFailure as exc:
         return LevelResult(lv, None, f"no convergence: {exc}", iterations=exc.iterations)
-    return _verdict(lv, res, grid, end_check)
+    return _verdict(lv, res, grid)
 
 
 def find_bound_states(
@@ -713,9 +709,9 @@ def find_bound_states(
 ) -> SpectrumResult:
     """Seed shift-invert searches at the closed-form level energies.
 
-    Returns one LevelResult per seeded level, in closed-form table order.
-    A Coulomb-Kratzer search given a plain grid runs on
-    aligned_grid(contour, grid) instead, whose ends reach far past S; a
+    Returns one LevelResult per seeded level, in closed-form table order, and
+    the grid they were computed on.  A Coulomb-Kratzer search given a plain
+    grid runs on aligned_grid(contour, grid), whose ends reach far past S; a
     stretched grid is used as given, as is the oscillator's grid.  Levels
     whose decay length 1/kappa exceeds a third of the reach are not seeded
     (the Dirichlet truncation error would dominate them).  Each level is
@@ -723,43 +719,37 @@ def find_bound_states(
     eigenfunction (see _host_coupling).  A search that hits the iteration
     cap (see targeted_eigenvalue) gets the reason "no convergence: ...".  A
     numeric eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|),
-    h the step in t, unless a Coulomb-Kratzer eigenvector has not decayed by
-    the ends of the grid (see _verdict: a continuum artifact).  With
-    two_grid=True the run is repeated at N -> 2N+1 on the same [-S, S] in t,
-    which halves h and keeps every node, and that run, the per-level error
-    ratios |delta| coarse / fine, and order_estimate, the median of log2
-    over the positive ratios, are attached.  order_estimate is an order of
-    convergence only where every level's error shrinks as a power of h; it
-    is not a Richardson estimate.
+    h the step in t, unless its eigenvector has not decayed by the ends of
+    the grid (see _verdict: a continuum artifact).  With two_grid=True the
+    run is repeated on grid.refined(), which halves h and keeps every node,
+    and that run, the per-level error ratios |delta| coarse / fine, and
+    order_estimate, the median of log2 over the positive ratios, are
+    attached.  order_estimate is an order of convergence only where every
+    level's error shrinks as a power of h; it is not a Richardson estimate.
     """
-    if isinstance(problem.contour, UShaped) and not grid.stretch:
+    if isinstance(problem.contour, UShaped) and not grid.stretched:
         grid = aligned_grid(problem.contour, grid)
-    result = SpectrumResult(levels=_search(problem, grid, n_max))
+    levels = _search(problem, grid, n_max)
     if not two_grid:
-        return result
+        return SpectrumResult(levels=levels, grid=grid)
 
-    fine_grid = GridSpec(S=grid.S, N=2 * grid.N + 1, stretch=grid.stretch)
-    fine = find_bound_states(problem, fine_grid, n_max)
-    fine_by_key = {(m.level.n, m.level.sigma): m for m in fine.matched}
+    # the same S and path map seed the same levels in the same order
+    fine = find_bound_states(problem, grid.refined(), n_max)
     ratios = {}
     orders = []
-    for m in result.matched:
-        key = (m.level.n, m.level.sigma)
-        other = fine_by_key.get(key)
-        if other is None or other.residual == 0.0:
+    for coarse, other in zip(levels, fine.levels, strict=True):
+        if not (coarse.matched and other.matched) or other.residual == 0.0:
             continue
-        ratio = m.residual / other.residual
-        ratios[key] = ratio
+        ratio = coarse.residual / other.residual
+        ratios[(coarse.level.n, coarse.level.sigma)] = ratio
         if ratio > 0:
             orders.append(math.log2(ratio))
     convergence = TwoGridConvergence(
-        h_coarse=grid.h,
-        h_fine=fine_grid.h,
         error_ratios=ratios,
         order_estimate=float(np.median(orders)) if orders else None,
         fine=fine,
     )
-    return SpectrumResult(levels=result.levels, convergence=convergence)
+    return SpectrumResult(levels=levels, grid=grid, convergence=convergence)
 
 
 def _spectral_edge(op: DiscretizedOperator) -> complex:

@@ -1,12 +1,14 @@
-"""The benchmark's level check against the result shape find_bound_states returns.
+"""The benchmark's level check and traced names against the package they read.
 
 bench/workloads.check_levels reads SpectrumResult.matched and .unmatched.
 These tests hold it to catching a wrong eigenvalue and a dropped seed on a
 result whose levels were edited, the way the benchmark's own self-tests
-edit the matched and unmatched lists.
+edit the matched and unmatched lists.  bench/tracing.TARGETS names the
+package attributes the traced run wraps; each must still exist.
 """
 
 import dataclasses
+import importlib
 import importlib.util
 import sys
 from pathlib import Path
@@ -18,16 +20,17 @@ from ptspec.model import CoulombKratzer
 from ptspec.solver import BoundStateProblem, GridSpec, find_bound_states
 
 
-def _load_workloads():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+def _load_bench(name: str):
+    path = Path(__file__).resolve().parents[1] / "bench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_bench("workloads")
+tracing = _load_bench("tracing")
 # at L = 2.2 the (0,-1) and (1,-1) seeds stay unmatched, so a seed can be dropped
 Z, L, NMAX = 1.0, 2.2, 1
 GRID = GridSpec(30.0, 2000)
@@ -60,3 +63,12 @@ def test_perturbed_eigenvalue_caught(result):
 def test_dropped_seed_caught(result):
     with pytest.raises(workloads.CheckFailed, match="not seeded"):
         _check(dataclasses.replace(result, levels=result.matched))
+
+
+@pytest.mark.parametrize(
+    "module, attr", [(m, a) for m, a, _ in tracing.TARGETS], ids=lambda v: v
+)
+def test_traced_name_resolves(module, attr):
+    assert hasattr(importlib.import_module(module), attr), (
+        f"bench/tracing.py wraps {module}.{attr}, which no longer exists"
+    )

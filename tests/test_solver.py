@@ -66,11 +66,10 @@ class TestGridSpec:
             GridSpec(S=0.0, N=100)
         with pytest.raises(DomainError):
             GridSpec(S=5.0, N=15)
-        with pytest.raises(DomainError):
-            GridSpec(S=5.0, N=100, stretch=-1.0)
 
     def test_stretched_path_positions(self):
-        g = GridSpec(S=15.0, N=101, stretch=4.0)
+        g = GridSpec(S=15.0, N=101, stretched=True)
+        assert solver.STRETCH == 4.0
         assert g.reach == pytest.approx(4.0 * math.sinh(15.0 / 4.0), rel=1e-15)
         assert GridSpec(S=15.0, N=101).reach == 15.0
         for t in (g.nodes(), g.midpoints()):
@@ -94,7 +93,7 @@ class TestAlignedGrid:
     @settings(max_examples=200, deadline=None)
     def test_junction_on_a_node_within_the_box(self, epsilon, S, N):
         grid = aligned_grid(UShaped(epsilon), GridSpec(S, N))
-        assert grid.N == N and grid.stretch == solver.STRETCH
+        assert grid.N == N and grid.stretched
         assert grid.S <= S and grid.h <= 2.0 * S / (N + 1)
         t_j = solver.STRETCH * math.asinh(0.5 * math.pi * epsilon / solver.STRETCH)
         if t_j < grid.S:
@@ -105,16 +104,21 @@ class TestAlignedGrid:
         j = t_j * (N + 1) / (2.0 * grid.S)
         assert j <= 1.0 or t_j * (N + 1) / (2.0 * (j - 1.0)) > S
 
-    @pytest.mark.parametrize("N", [4000, 4001])
-    def test_halved_step_keeps_every_node(self, N):
-        coarse = aligned_grid(UShaped(1.0), GridSpec(15.0, N))
-        fine = GridSpec(coarse.S, 2 * N + 1, coarse.stretch)
+    @pytest.mark.parametrize(
+        "coarse",
+        [aligned_grid(UShaped(1.0), GridSpec(15.0, N)) for N in (4000, 4001)]
+        + [aligned_grid(UShaped(1.0), GridSpec(15.0, 4000)).refined()],  # the next rung
+        ids=["4000", "4001", "8001"],
+    )
+    def test_halved_step_keeps_every_node(self, coarse):
+        fine = coarse.refined()
+        assert (fine.S, fine.N, fine.stretched) == (coarse.S, 2 * coarse.N + 1, True)
         np.testing.assert_allclose(fine.nodes()[1::2], coarse.nodes(), rtol=0, atol=1e-12)
         assert fine.h == coarse.h / 2
 
     def test_width_zero_contour_keeps_the_box(self):
         grid = aligned_grid(UShaped(0.0), GridSpec(15.0, 100))
-        assert grid == GridSpec(15.0, 100, solver.STRETCH)
+        assert grid == GridSpec(15.0, 100, stretched=True)
 
 
 class TestDiscretize:
@@ -173,7 +177,7 @@ class TestDiscretize:
     def test_stretched_oscillator_levels(self):
         # the chain rule through s = g(t): the stretched grid reaches s = 8.5
         # with step h near the origin and keeps the levels 2n+1 to h^2
-        grid = GridSpec(6.0, 2001, stretch=4.0)
+        grid = GridSpec(6.0, 2001, stretched=True)
         res = find_bound_states(oscillator_problem(), grid, n_max=4, two_grid=True)
         assert res.matched == res.levels
         np.testing.assert_allclose([r.eigenvalue for r in res.levels], [1, 3, 5, 7, 9], atol=2e-4)
@@ -463,11 +467,16 @@ class TestEigenvectorAsymptotics:
 
 class TestFindBoundStates:
     def test_oscillator_five_matches(self):
-        res = find_bound_states(oscillator_problem(), GridSpec(10.0, 2000), n_max=4)
-        assert [(r.level.n, r.level.sigma) for r in res.levels] == [(n, 1) for n in range(5)]
-        assert res.matched == res.levels
-        got = [r.eigenvalue.real for r in res.levels]
-        np.testing.assert_allclose(got, [1, 3, 5, 7, 9], atol=1e-3)
+        for N in (2000, 4001):
+            grid = GridSpec(10.0, N)
+            res = find_bound_states(oscillator_problem(), grid, n_max=4)
+            assert res.grid == grid  # the oscillator's plain grid is used as given
+            assert [(r.level.n, r.level.sigma) for r in res.levels] == [(n, 1) for n in range(5)]
+            assert res.matched == res.levels
+            got = [r.eigenvalue.real for r in res.levels]
+            np.testing.assert_allclose(got, [1, 3, 5, 7, 9], atol=1e-3)
+            # every search gets the end check: these levels end at rounding level
+            assert all(r.tail <= 1e-12 for r in res.levels), [r.tail for r in res.levels]
 
     def test_deep_level_matched_on_acceptance_grid(self):
         res = find_bound_states(ck_problem(), GridSpec(15.0, 4000), n_max=0)
@@ -513,7 +522,7 @@ class TestFindBoundStates:
         res = find_bound_states(ck_problem(), GridSpec(15.0, 4000), n_max=0, two_grid=True)
         conv = res.convergence
         assert conv is not None
-        assert conv.h_fine == conv.h_coarse / 2
+        assert conv.fine.grid.h == res.grid.h / 2
         assert set(conv.error_ratios) == {(0, -1), (0, 1)}
         for ratio in conv.error_ratios.values():
             assert 3.996 <= ratio <= 4.004
@@ -523,7 +532,7 @@ class TestFindBoundStates:
         # must stop there instead of burning the iteration cap
         coarse_grid = GridSpec(30.0, 22627)
         res = find_bound_states(ck_problem(), coarse_grid, n_max=2, two_grid=True)
-        fine_grid = GridSpec(30.0, 2 * coarse_grid.N + 1)
+        fine_grid = coarse_grid.refined()
         fine = find_bound_states(ck_problem(), fine_grid, n_max=2)
         for run in (res, fine):
             reasons = [u.reason for u in run.unmatched]
@@ -578,7 +587,7 @@ class TestFindBoundStates:
         for lv, host in seeds:
             op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
             bands = (op.diag.copy(), op.sub.copy(), op.sup.copy())
-            expected.append(_verdict(lv, targeted_eigenvalue(op, lv.energy), grid, True))
+            expected.append(_verdict(lv, targeted_eigenvalue(op, lv.energy), grid))
             # the banded LU and the iteration run in place, never on the operator
             for band, before in zip((op.diag, op.sub, op.sup), bands):
                 np.testing.assert_array_equal(band, before)
@@ -588,12 +597,13 @@ class TestFindBoundStates:
         # at L = 2.2 the (0,-1) and (1,-1) seeds stay unmatched on both grids
         problem, grid = ck_problem(L=2.2), GridSpec(30.0, 2000)
         res = find_bound_states(problem, grid, n_max=1, two_grid=True)
-        coarse = aligned_grid(problem.contour, grid)
-        fine_grid = GridSpec(coarse.S, 2 * grid.N + 1, coarse.stretch)  # same T, h/2
-        fine = find_bound_states(problem, fine_grid, n_max=1)
+        assert res.grid == aligned_grid(problem.contour, grid)
+        assert res.convergence.fine.grid == res.grid.refined()  # same T, h/2
+        fine = find_bound_states(problem, res.grid.refined(), n_max=1)
         assert res.convergence.fine.levels == fine.levels
         assert fine.unmatched  # the unmatched seeds are kept too
-        assert res.convergence.h_fine == fine_grid.h
+        # the two runs pair level by level: the same seeds in the same order
+        assert [r.level for r in fine.levels] == [r.level for r in res.levels]
 
 
 def _keys(levels) -> set:
@@ -608,7 +618,7 @@ class TestEndCheck:
 
     def judge(self, vector):
         res = TargetedResult(self.LEVEL.energy, vector / np.linalg.norm(vector), 1, 0.0)
-        return _verdict(self.LEVEL, res, self.GRID, True)
+        return _verdict(self.LEVEL, res, self.GRID)
 
     def test_plane_wave_is_continuum(self):
         s, _ = self.GRID.on_path(self.GRID.nodes())
@@ -672,8 +682,8 @@ def test_matched_stays_matched_at_smaller_step_and_wider_box(L, epsilon, S, n):
     problem, N = ck_problem(L=L, eps=epsilon), 2 * n + 1
     grid = aligned_grid(problem.contour, GridSpec(S, N))
     matched = _keys(find_bound_states(problem, grid, 2).matched)
-    finer = GridSpec(grid.S, 2 * N + 1, grid.stretch)  # h halves
-    wider = GridSpec(2 * grid.S, 2 * N + 1, grid.stretch)  # S doubles at fixed h
+    finer = grid.refined()  # h halves
+    wider = GridSpec(2 * grid.S, 2 * N + 1, grid.stretched)  # S doubles at fixed h
     assert wider.h == grid.h
     for other in (finer, wider):
         assert matched <= _keys(find_bound_states(problem, other, 2).matched)
