@@ -109,6 +109,8 @@ class GridSpec:
             raise DomainError(f"S must be > 0, got {self.S}")
         if self.N < 16:
             raise DomainError(f"N must be >= 16, got {self.N}")
+        if not isinstance(self.stretched, bool):
+            raise DomainError(f"stretched must be True or False, got {self.stretched!r}")
 
     @property
     def h(self) -> float:
@@ -166,6 +168,17 @@ def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
     return GridSpec(S=t_j * half / j, N=grid.N, stretched=True)
 
 
+def _dense(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """The tridiagonal matrix of three bands in their dtype, column-major."""
+    n = diag.size
+    m = np.zeros((n, n), dtype=np.result_type(diag, sub, sup), order="F")
+    i = np.arange(n)
+    m[i, i] = diag
+    m[i[1:], i[:-1]] = sub
+    m[i[:-1], i[1:]] = sup
+    return m
+
+
 def _mirrored(values: np.ndarray) -> np.ndarray:
     """Force exact reflection antisymmetry: values[-1-k] == -values[k] bitwise."""
     out = values.copy()
@@ -199,13 +212,7 @@ class DiscretizedOperator:
 
     def to_dense(self) -> np.ndarray:
         """The full matrix, column-major so LAPACK takes it without a copy."""
-        n = self.size
-        m = np.zeros((n, n), dtype=complex, order="F")
-        i = np.arange(n)
-        m[i, i] = self.diag
-        m[i[1:], i[:-1]] = self.sub
-        m[i[:-1], i[1:]] = self.sup
-        return m
+        return _dense(self.diag, self.sub, self.sup)
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         n = self.size
@@ -329,10 +336,17 @@ def discretize(
 def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     """All eigenvalues of the tridiagonal matrix, sorted by (real, imag).
 
-    Real-symmetric bands take the tridiagonal QL/QR fast path; anything else
-    goes through LAPACK's dense Hessenberg QR routine (the matrix already
-    is Hessenberg).  Both inherit LAPACK's 30*N sweep budget; exceeding it
-    raises ConvergenceFailure.  Sizes above DENSE_CEILING raise DomainError.
+    A PT-symmetric operator (pt_defect() == 0, as every discretize output
+    is) is folded into real arithmetic first (_fold, after A. Lee, Linear
+    Algebra Appl. 29, 205, 1980): a real operator splits into its two
+    parity halves, each of size about N/2, and a complex one becomes one
+    real matrix of size N, whose real Hessenberg QR returns the eigenvalues
+    in exact conjugate pairs.  Any other operator is solved as it stands.
+    Each band set takes the tridiagonal QL/QR fast path when it is real
+    symmetric, and LAPACK's dense Hessenberg QR routine in its own dtype
+    otherwise (the matrix already is Hessenberg).  Both inherit LAPACK's
+    30*N sweep budget; exceeding it raises ConvergenceFailure.  Sizes above
+    DENSE_CEILING raise DomainError.
     """
     n = op.size
     if n > DENSE_CEILING:
@@ -345,17 +359,78 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     import scipy.linalg  # deferred: closed-form commands start without scipy
 
     try:
-        if (
-            np.all(op.diag.imag == 0.0)
-            and np.all(op.sub.imag == 0.0)
-            and np.array_equal(op.sub, op.sup)
-        ):
-            vals = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, op.sub.real).astype(complex)
+        if op.pt_defect() != 0.0:
+            vals = _band_eigenvalues(op.diag, op.sub, op.sup)
+        elif all(np.all(band.imag == 0.0) for band in (op.diag, op.sub, op.sup)):
+            vals = np.concatenate(
+                [_band_eigenvalues(*(b.real for b in half)) for half in _fold(op)]
+            )
         else:
-            vals = scipy.linalg.eigvals(op.to_dense(), overwrite_a=True)
+            vals = scipy.linalg.eigvals(_folded_matrix(*_fold(op)), overwrite_a=True)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise ConvergenceFailure(f"dense QR iteration failed: {exc}") from exc
     return vals[np.lexsort((vals.imag, vals.real))]
+
+
+def _band_eigenvalues(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
+    """Unsorted eigenvalues of one tridiagonal band set (see full_spectrum)."""
+    import scipy.linalg  # deferred: see full_spectrum
+
+    if diag.size == 0:
+        return np.empty(0, dtype=complex)
+    if np.all(diag.imag == 0.0) and np.all(sub.imag == 0.0) and np.array_equal(sub, sup):
+        return scipy.linalg.eigvalsh_tridiagonal(diag.real, sub.real).astype(complex)
+    return scipy.linalg.eigvals(_dense(diag, sub, sup), overwrite_a=True)
+
+
+def _fold(op: DiscretizedOperator) -> tuple:
+    """The band sets (diag, sub, sup) of the two halves P and K of a PT fold.
+
+    For M = J conj(M) J with J the N x N reversal, m = N//2 and
+    Q = (1/sqrt2)[[I, iI], [J, -iJ]] (one more real unit middle row and
+    column when N is odd), Q^H M Q = [[Re A, -Im B], [Im A, Re B]] with
+    A = M11 + M13 J and B = M11 - M13 J, M11 the leading m x m block and M13
+    the trailing m columns of the leading m rows.  For a tridiagonal M the
+    only entry M13 J adds is the corner M[m-1, m], and only when N is even.
+    P is A, of size N - m: when N is odd it is bordered by the middle row
+    and column, which couple to M11 through sqrt2 M[m-1, m] and
+    sqrt2 M[m, m-1].  K is B, of size m.  _folded_matrix assembles Q^H M Q
+    from them; for a real M it is diag(P, K), so P and K are the even and odd
+    parity blocks.
+    """
+    n = op.size
+    m = n // 2
+    p = n - m
+    P = (op.diag[:p].copy(), op.sub[: p - 1].copy(), op.sup[: p - 1].copy())
+    K = (op.diag[:m].copy(), op.sub[: max(m - 1, 0)], op.sup[: max(m - 1, 0)])
+    if n % 2 == 0:
+        P[0][m - 1] += op.sup[m - 1]
+        K[0][m - 1] -= op.sup[m - 1]
+    elif m > 0:
+        P[1][m - 1] *= math.sqrt(2.0)
+        P[2][m - 1] *= math.sqrt(2.0)
+    return P, K
+
+
+def _folded_matrix(P: tuple, K: tuple) -> np.ndarray:
+    """Q^H M Q = [[Re P, -Im B], [Im A, Re K]] from _fold's halves, real and column-major.
+
+    The off-diagonal blocks are read off P's bands: Im A is P's first m
+    rows, and Im B is P's first m columns with K's diagonal, since A and B
+    differ only there, in the even case's corner.  When N is odd they carry
+    the middle's imaginary couplings.  The complex N x N matrix is never
+    formed.
+    """
+    p, m = P[0].size, K[0].size
+    r = np.zeros((p + m, p + m), order="F")
+    r[:p, :p] = _dense(*(b.real for b in P))
+    r[p:, p:] = _dense(*(b.real for b in K))
+    im = _dense(*(b.imag for b in P))
+    r[p:, :p] = im[:m]
+    r[:p, p:] = -im[:, :m]
+    i = np.arange(m)
+    r[i, p + i] = -K[0].imag
+    return r
 
 
 @dataclass(frozen=True)

@@ -66,6 +66,8 @@ class TestGridSpec:
             GridSpec(S=0.0, N=100)
         with pytest.raises(DomainError):
             GridSpec(S=5.0, N=15)
+        with pytest.raises(DomainError):
+            GridSpec(15.0, 4000, 8.0)  # a stretch value where the flag goes
 
     def test_stretched_path_positions(self):
         g = GridSpec(S=15.0, N=101, stretched=True)
@@ -221,6 +223,29 @@ class TestDiscretize:
         np.testing.assert_allclose(pos.sub, -neg.sub, rtol=1e-15)
 
 
+def _pairing_distance(a, b):
+    """Largest distance in the one-to-one pairing of a with b of least total distance."""
+    from scipy.optimize import linear_sum_assignment
+
+    distance = np.abs(a[:, None] - b[None, :])
+    rows, cols = linear_sum_assignment(distance)
+    return distance[rows, cols].max()
+
+
+def _pt_operator(n, rng, real):
+    """A random tridiagonal operator with M = J conj(M) J exactly."""
+
+    def draw(k):
+        return rng.standard_normal(k) + (0.0 if real else 1j * rng.standard_normal(k))
+
+    diag = draw(n).astype(complex)
+    diag[n - n // 2:] = np.conj(diag[: n // 2][::-1])
+    if n % 2:
+        diag[n // 2] = diag[n // 2].real
+    sub = draw(n - 1)
+    return DiscretizedOperator(diag=diag, sub=sub, sup=np.conj(sub[::-1]))
+
+
 class TestFullSpectrum:
     def test_one_by_one(self):
         # the complex entry takes the Hessenberg route, the real one the tridiagonal route
@@ -263,17 +288,56 @@ class TestFullSpectrum:
 
     @pytest.mark.parametrize("N", [127, 199])
     def test_in_place_dense_route_matches_copying_route(self, N):
-        # the A5 grids: the column-major matrix that eigvals overwrites gives the
-        # same eigenvalue bits as a C-ordered sum of three np.diag, which eigvals copies
+        # an A5 grid's operator broken out of PT symmetry, so it is not folded:
+        # the column-major matrix that eigvals overwrites gives the same
+        # eigenvalue bits as a C-ordered sum of three np.diag, which eigvals copies
         import scipy.linalg
 
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, N))
+        op.diag[0] += 1e-3j
+        assert op.pt_defect() > 0.0
         summed = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
         dense = op.to_dense()
         assert dense.flags.f_contiguous
         np.testing.assert_array_equal(dense, summed)
         vals = scipy.linalg.eigvals(summed)
         np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
+
+    @pytest.mark.parametrize("mass_sign", [1, -1])
+    @pytest.mark.parametrize("N", [127, 199])
+    def test_folded_spectrum_matches_complex_qr(self, N, mass_sign):
+        # the A5 grids: the fold's real QR against complex QR of the operator itself
+        import scipy.linalg
+
+        op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(15.0, N))
+        assert _pairing_distance(full_spectrum(op), scipy.linalg.eigvals(op.to_dense())) <= 1e-8
+
+    def test_discretized_operators_never_reach_complex_qr(self, monkeypatch):
+        # complex PT (the A5 grid), real symmetric (the oscillator) and real
+        # non-symmetric (the oscillator on a stretched grid) operators
+        import scipy.linalg
+
+        dtypes = []
+        eigvals = scipy.linalg.eigvals
+
+        def recording(a, **kwargs):
+            dtypes.append(a.dtype)
+            return eigvals(a, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eigvals", recording)
+        osc = oscillator_problem()
+        ops = [
+            discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, 127)),
+            discretize(osc.contour, osc.potential, osc.L, osc.mass_sign, GridSpec(10.0, 200)),
+            discretize(
+                osc.contour, osc.potential, osc.L, osc.mass_sign,
+                GridSpec(10.0, 201, stretched=True),
+            ),
+        ]
+        for op in ops:
+            assert op.pt_defect() == 0.0
+            assert full_spectrum(op).shape == (op.size,)
+        assert dtypes == [np.dtype(float)] * 3  # one fold, then the two halves
 
     def test_ceiling_enforced(self):
         def zeros(n):
@@ -282,6 +346,63 @@ class TestFullSpectrum:
         with pytest.raises(DomainError):
             full_spectrum(zeros(DENSE_CEILING + 1))
         assert full_spectrum(zeros(DENSE_CEILING)).shape == (DENSE_CEILING,)
+
+
+class TestFold:
+    @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+    @pytest.mark.parametrize("N", [1, 2, 3, 16, 17, 127, 200])
+    def test_folded_matrix_is_the_explicit_similarity(self, N, real):
+        op = _pt_operator(N, np.random.default_rng(N), real)
+        assert op.pt_defect() == 0.0
+        m, p = N // 2, N - N // 2
+        q = np.zeros((N, N), dtype=complex)
+        for i in range(m):
+            q[i, i] = q[N - 1 - i, i] = 1.0 / math.sqrt(2.0)
+            q[i, p + i], q[N - 1 - i, p + i] = 1j / math.sqrt(2.0), -1j / math.sqrt(2.0)
+        if N % 2:
+            q[m, m] = 1.0
+        dense = op.to_dense()
+        explicit = q.conj().T @ dense @ q
+        folded = solver._folded_matrix(*solver._fold(op))
+        assert folded.dtype == float and folded.flags.f_contiguous
+        tol = 16 * np.finfo(float).eps * np.abs(dense).max()
+        np.testing.assert_allclose(explicit.imag, 0.0, rtol=0, atol=tol)
+        np.testing.assert_allclose(folded, explicit.real, rtol=0, atol=tol)
+        if real:
+            assert not folded[:p, p:].any() and not folded[p:, :p].any()
+
+    def test_real_halves_are_the_parity_blocks(self):
+        import scipy.linalg
+
+        osc = oscillator_problem()
+        op = discretize(osc.contour, osc.potential, osc.L, osc.mass_sign, GridSpec(10.0, 2000))
+        halves = solver._fold(op)
+        assert [half[0].size for half in halves] == [1000, 1000]
+        vals = []
+        for diag, sub, sup in halves:
+            assert not (diag.imag.any() or sub.imag.any())
+            np.testing.assert_array_equal(sub, sup)
+            vals.append(scipy.linalg.eigvalsh_tridiagonal(diag.real, sub.real))
+        whole = scipy.linalg.eigvalsh_tridiagonal(op.diag.real, op.sub.real)
+        tol = 64 * np.finfo(float).eps * op.norm_inf
+        np.testing.assert_allclose(np.sort(np.concatenate(vals)), whole, rtol=0, atol=tol)
+        np.testing.assert_allclose(full_spectrum(op).real, whole, rtol=0, atol=tol)
+
+    def test_size_one_leaves_an_empty_half(self):
+        op = DiscretizedOperator(diag=[2.5], sub=[], sup=[])
+        (p_diag, p_sub, _), (k_diag, k_sub, _) = solver._fold(op)
+        assert (p_diag.size, p_sub.size, k_diag.size, k_sub.size) == (1, 0, 0, 0)
+        assert solver._folded_matrix(*solver._fold(op)).tolist() == [[2.5]]
+        np.testing.assert_array_equal(full_spectrum(op), [2.5 + 0.0j])
+
+    @pytest.mark.parametrize("N", [2, 3, 16])
+    def test_complex_operators_give_exact_conjugate_pairs(self, N):
+        import scipy.linalg
+
+        op = _pt_operator(N, np.random.default_rng(7), real=False)
+        vals = full_spectrum(op)
+        assert _pairing_distance(vals, scipy.linalg.eigvals(op.to_dense())) <= 1e-12
+        np.testing.assert_array_equal(np.sort_complex(vals.conj()), vals)
 
 
 class TestTargeted:
@@ -752,4 +873,4 @@ def test_conjugation_closure_moderate_grids():
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, N))
         vals = full_spectrum(op)
         gap = np.max(np.min(np.abs(vals[None, :] - np.conj(vals[:, None])), axis=1))
-        assert gap <= 1e-8
+        assert gap == 0.0
