@@ -16,6 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularCoupling
+from .model import MassConfig
 
 __all__ = [
     "Level",
@@ -95,8 +96,7 @@ def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
         raise DomainError(f"n must be >= 0, got {n}")
     if sigma not in (1, -1):
         raise DomainError(f"sigma must be +1 or -1, got {sigma}")
-    if mass_sign not in (1, -1):
-        raise DomainError(f"mass_sign must be +1 or -1, got {mass_sign}")
+    MassConfig(mass_sign)
     den = _denominator(L, n, sigma)
     if abs(den) < SINGULAR_DENOM_TOL:
         raise SingularCoupling(

@@ -30,6 +30,7 @@ conjugate-reflection identity of PT-symmetric inputs exact in floating point.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -54,6 +55,7 @@ from .model import (
     INTEGER_L_TOL,
     BenderBoettcher,
     CoulombKratzer,
+    MassConfig,
     Potential,
     evaluate_potential,
 )
@@ -107,6 +109,10 @@ class GridSpec:
     def __post_init__(self):
         if not self.S > 0:
             raise DomainError(f"S must be > 0, got {self.S}")
+        if not math.isfinite(self.S):
+            raise DomainError(f"S must be finite, got {self.S}")
+        if not isinstance(self.N, numbers.Integral) or isinstance(self.N, bool):
+            raise DomainError(f"N must be an integer, got {self.N!r}")
         if self.N < 16:
             raise DomainError(f"N must be >= 16, got {self.N}")
         if not isinstance(self.stretched, bool):
@@ -294,11 +300,11 @@ def discretize(
     should then carry only the remaining terms.  On a stretched grid x and
     x_t = x'(g(t)) g'(t) are taken at s = g(t) (see GridSpec.on_path).  A
     node may sit on a U-path junction: x' is continuous there and x'' is
-    never sampled.  Raises GeometryError for the width-zero contour and
-    SingularL for a Coulomb-Kratzer run at integer L.
+    never sampled.  MassConfig checks the mass sign (DomainError unless +1
+    or -1).  Raises GeometryError for the width-zero contour and SingularL
+    for a Coulomb-Kratzer run at integer L.
     """
-    if mass_sign not in (1, -1):
-        raise DomainError(f"mass_sign must be +1 or -1, got {mass_sign}")
+    MassConfig(mass_sign)
     if isinstance(contour, UShaped) and contour.epsilon == 0.0:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
     coupled = isinstance(potential, CoulombKratzer) and (
@@ -667,24 +673,18 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
 
     A Coulomb-Kratzer level is seeded only when the grid's reach is at least
     MIN_DECAY_LENGTHS / kappa, and is hosted by the coupling sign under which
-    it decays (_host_coupling).
+    it decays (_host_coupling).  The oscillator benchmark is exactly
+    oscillator_problem(), its one definition.
     """
-    p, contour, L = problem.potential, problem.contour, problem.L
-    if (
-        isinstance(p, BenderBoettcher)
-        and p.delta == 0.0
-        and isinstance(contour, StraightLine)
-        and contour.phi == 0.0
-        and problem.mass_sign == 1
-        and L * (L + 1.0) == 0.0
-    ):
+    p, L = problem.potential, problem.L
+    if problem == oscillator_problem():
         return [
             (Level(n=n, sigma=1, energy=float(2 * n + 1), kappa=math.sqrt(2 * n + 1)), p)
             for n in range(n_max + 1)
         ]
     if not (
         isinstance(p, CoulombKratzer)
-        and isinstance(contour, UShaped)
+        and isinstance(problem.contour, UShaped)
         and problem.mass_sign == -1
     ):
         raise UnsupportedGeometry(

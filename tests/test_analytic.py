@@ -39,6 +39,14 @@ def test_level_singular_coupling():
         level(Z=1.0, L=1.0, n=1, sigma=-1, mass_sign=-1)
 
 
+@pytest.mark.parametrize("mass_sign", [0, 2])
+def test_mass_sign_outside_domain(mass_sign):
+    with pytest.raises(DomainError):
+        level(Z=1.0, L=0.3, n=0, sigma=-1, mass_sign=mass_sign)
+    with pytest.raises(DomainError):
+        spectrum_table(Z=1.0, L=0.3, n_max=1, mass_sign=mass_sign)
+
+
 def test_level_kappa_energy_consistency():
     lv = level(Z=2.0, L=1.2, n=2, sigma=1, mass_sign=-1)
     assert lv.kappa**2 == pytest.approx(abs(lv.energy), rel=1e-12)

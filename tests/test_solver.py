@@ -68,6 +68,10 @@ class TestGridSpec:
             GridSpec(S=5.0, N=15)
         with pytest.raises(DomainError):
             GridSpec(15.0, 4000, 8.0)  # a stretch value where the flag goes
+        for S, N in ((15.0, 40.0), (15.0, True), (math.inf, 100), (math.nan, 100)):
+            with pytest.raises(DomainError):
+                GridSpec(S, N)
+        assert GridSpec(15.0, np.int64(40)).N == 40  # numpy integers pass
 
     def test_stretched_path_positions(self):
         g = GridSpec(S=15.0, N=101, stretched=True)
@@ -221,6 +225,11 @@ class TestDiscretize:
         neg = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, g)
         np.testing.assert_allclose(pos.diag, -neg.diag, rtol=1e-15)
         np.testing.assert_allclose(pos.sub, -neg.sub, rtol=1e-15)
+
+    @pytest.mark.parametrize("mass_sign", [0, 2])
+    def test_mass_sign_outside_domain(self, mass_sign):
+        with pytest.raises(DomainError):
+            discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(12.0, 128))
 
 
 def _pairing_distance(a, b):
@@ -629,8 +638,12 @@ class TestFindBoundStates:
         with pytest.raises(UnsupportedGeometry):
             find_bound_states(bad, GridSpec(10.0, 64), 0)
         bent = BoundStateProblem(StraightLine(0.4), BenderBoettcher(0.0), 0.0, 1)
-        with pytest.raises(UnsupportedGeometry):
-            find_bound_states(bent, GridSpec(10.0, 64), 0)
+        # L = -1 has the same L(L+1) = 0, but the benchmark is oscillator_problem() only
+        centrifugal = BoundStateProblem(StraightLine(0.0), BenderBoettcher(0.0), -1.0, 1)
+        inverted = BoundStateProblem(StraightLine(0.0), BenderBoettcher(0.0), 0.0, -1)
+        for problem in (bent, centrifugal, inverted):
+            with pytest.raises(UnsupportedGeometry):
+                find_bound_states(problem, GridSpec(10.0, 64), 0)
 
     def test_kratzer_coupling_must_be_folded(self):
         prob = BoundStateProblem(UShaped(1.0), CoulombKratzer(1.0, F=0.5), 0.3, -1)
