@@ -198,7 +198,7 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Complex tridiagonal matrix: diag (N), sub (N-1, row i+1 col i), sup (N-1)."""
+    """Complex tridiagonal matrix: diag (N >= 2), sub (N-1, row i+1 col i), sup (N-1)."""
 
     diag: np.ndarray
     sub: np.ndarray
@@ -209,7 +209,9 @@ class DiscretizedOperator:
         object.__setattr__(self, "sub", np.asarray(self.sub, dtype=complex))
         object.__setattr__(self, "sup", np.asarray(self.sup, dtype=complex))
         n = self.diag.size
-        if self.sub.size != max(n - 1, 0) or self.sup.size != max(n - 1, 0):
+        if n < 2:
+            raise DomainError(f"N must be >= 2, got {n}")
+        if self.sub.size != n - 1 or self.sup.size != n - 1:
             raise DomainError("off-diagonal bands must have length N-1")
 
     @property
@@ -227,9 +229,8 @@ class DiscretizedOperator:
     def _matvec_into(self, v: np.ndarray, out: np.ndarray, work: np.ndarray) -> np.ndarray:
         """op @ v written into out, with work holding the off-diagonal products."""
         np.multiply(self.diag, v, out=out)
-        if self.size > 1:
-            out[1:] += np.multiply(self.sub, v[:-1], out=work[1:])
-            out[:-1] += np.multiply(self.sup, v[1:], out=work[:-1])
+        out[1:] += np.multiply(self.sub, v[:-1], out=work[1:])
+        out[:-1] += np.multiply(self.sup, v[1:], out=work[:-1])
         return out
 
     @cached_property
@@ -239,9 +240,8 @@ class DiscretizedOperator:
         Cached: find_bound_states targets several seeds on one operator.
         """
         rows = np.abs(self.diag)
-        if self.size > 1:
-            rows[1:] += np.abs(self.sub)
-            rows[:-1] += np.abs(self.sup)
+        rows[1:] += np.abs(self.sub)
+        rows[:-1] += np.abs(self.sup)
         return float(rows.max())
 
     @cached_property
@@ -259,9 +259,7 @@ class DiscretizedOperator:
     def pt_defect(self) -> float:
         """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
         d = np.max(np.abs(self.diag - np.conj(self.diag[::-1])))
-        if self.size > 1:
-            d = max(d, float(np.max(np.abs(self.sub - np.conj(self.sup[::-1])))))
-        return float(d)
+        return float(max(d, np.max(np.abs(self.sub - np.conj(self.sup[::-1])))))
 
 
 @dataclass(frozen=True)
@@ -305,7 +303,7 @@ def discretize(
     for a Coulomb-Kratzer run at integer L.
     """
     MassConfig(mass_sign)
-    if isinstance(contour, UShaped) and contour.epsilon == 0.0:
+    if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
     coupled = isinstance(potential, CoulombKratzer) and (
         potential.Z != 0.0 or potential.F != 0.0
@@ -347,11 +345,11 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     Algebra Appl. 29, 205, 1980): a real operator splits into its two
     parity halves, each of size about N/2, and a complex one becomes one
     real matrix of size N, whose real Hessenberg QR returns the eigenvalues
-    in exact conjugate pairs.  Any other operator is solved as it stands.
-    Each band set takes the tridiagonal QL/QR fast path when it is real
-    symmetric, and LAPACK's dense Hessenberg QR routine in its own dtype
-    otherwise (the matrix already is Hessenberg).  Both inherit LAPACK's
-    30*N sweep budget; exceeding it raises ConvergenceFailure.  Sizes above
+    in exact conjugate pairs.  A real half takes the tridiagonal QL/QR fast
+    path when it is symmetric, and LAPACK's dense Hessenberg QR routine
+    otherwise (the matrix already is Hessenberg).  A non-PT operator gets
+    complex QR of to_dense().  Every route inherits LAPACK's 30*N sweep
+    budget; exceeding it raises ConvergenceFailure.  Sizes above
     DENSE_CEILING raise DomainError.
     """
     n = op.size
@@ -360,13 +358,11 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             f"matrix size {n} exceeds the dense-solver ceiling {DENSE_CEILING}; "
             "use targeted_eigenvalue"
         )
-    if n == 0:
-        return np.empty(0, dtype=complex)
     import scipy.linalg  # deferred: closed-form commands start without scipy
 
     try:
         if op.pt_defect() != 0.0:
-            vals = _band_eigenvalues(op.diag, op.sub, op.sup)
+            vals = scipy.linalg.eigvals(op.to_dense(), overwrite_a=True)
         elif all(np.all(band.imag == 0.0) for band in (op.diag, op.sub, op.sup)):
             vals = np.concatenate(
                 [_band_eigenvalues(*(b.real for b in half)) for half in _fold(op)]
@@ -379,13 +375,11 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
 
 def _band_eigenvalues(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of one tridiagonal band set (see full_spectrum)."""
+    """Unsorted eigenvalues of one real tridiagonal band set (see full_spectrum)."""
     import scipy.linalg  # deferred: see full_spectrum
 
-    if diag.size == 0:
-        return np.empty(0, dtype=complex)
-    if np.all(diag.imag == 0.0) and np.all(sub.imag == 0.0) and np.array_equal(sub, sup):
-        return scipy.linalg.eigvalsh_tridiagonal(diag.real, sub.real).astype(complex)
+    if np.array_equal(sub, sup):
+        return scipy.linalg.eigvalsh_tridiagonal(diag, sub).astype(complex)
     return scipy.linalg.eigvals(_dense(diag, sub, sup), overwrite_a=True)
 
 
@@ -408,11 +402,11 @@ def _fold(op: DiscretizedOperator) -> tuple:
     m = n // 2
     p = n - m
     P = (op.diag[:p].copy(), op.sub[: p - 1].copy(), op.sup[: p - 1].copy())
-    K = (op.diag[:m].copy(), op.sub[: max(m - 1, 0)], op.sup[: max(m - 1, 0)])
+    K = (op.diag[:m].copy(), op.sub[: m - 1], op.sup[: m - 1])
     if n % 2 == 0:
         P[0][m - 1] += op.sup[m - 1]
         K[0][m - 1] -= op.sup[m - 1]
-    elif m > 0:
+    else:
         P[1][m - 1] *= math.sqrt(2.0)
         P[2][m - 1] *= math.sqrt(2.0)
     return P, K
@@ -534,8 +528,6 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     results are the bits the plain matvec/norm/divide loop gives.
     """
     n = op.size
-    if n == 0:
-        raise DomainError("empty operator")
     # formed (and cached) before the LU and the buffers below hold memory:
     # at the first step's _residual_bound its temporaries would add to them
     op.norm_inf
@@ -595,8 +587,6 @@ def eigenvector_asymptotics(eigenvector: np.ndarray, grid: GridSpec) -> dict:
     s, _ = grid.on_path(grid.nodes())
     mag = np.abs(v)
     window = grid.N // 4
-    if window < 4:
-        raise FitError("grid too small for a tail fit")
     trim = window // 10
 
     def _fit(idx: np.ndarray) -> float:
@@ -889,8 +879,8 @@ def positive_mass_instability_probe(
     """
     out = []
     for S, N in grids:
-        grid = GridSpec(S=float(S), N=int(N))
+        grid = GridSpec(S, N)
         op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, 1, grid)
         edge = _spectral_edge(op)
-        out.append({"S": float(S), "N": int(N), "min_real": edge.real})
+        out.append({"S": grid.S, "N": grid.N, "min_real": edge.real})
     return out

@@ -255,14 +255,18 @@ def _pt_operator(n, rng, real):
     return DiscretizedOperator(diag=diag, sub=sub, sup=np.conj(sub[::-1]))
 
 
-class TestFullSpectrum:
-    def test_one_by_one(self):
-        # the complex entry takes the Hessenberg route, the real one the tridiagonal route
-        op = DiscretizedOperator(diag=[3.0 + 1.0j], sub=[], sup=[])
-        np.testing.assert_allclose(full_spectrum(op), [3.0 + 1.0j])
-        op = DiscretizedOperator(diag=[2.5], sub=[], sup=[])
-        np.testing.assert_allclose(full_spectrum(op), [2.5 + 0.0j])
+class TestDiscretizedOperator:
+    @pytest.mark.parametrize("N", [0, 1])
+    def test_fewer_than_two_nodes_rejected(self, N):
+        with pytest.raises(DomainError, match="N must be >= 2"):
+            DiscretizedOperator(diag=np.ones(N), sub=[], sup=[])
 
+    def test_band_lengths_checked(self):
+        with pytest.raises(DomainError, match="length N-1"):
+            DiscretizedOperator(diag=np.ones(3), sub=np.ones(2), sup=np.ones(3))
+
+
+class TestFullSpectrum:
     def test_two_by_two_symmetric(self):
         op = DiscretizedOperator(diag=[2.0, 2.0], sub=[1.0], sup=[1.0])
         np.testing.assert_allclose(full_spectrum(op).real, [1.0, 3.0], atol=1e-14)
@@ -321,6 +325,18 @@ class TestFullSpectrum:
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(15.0, N))
         assert _pairing_distance(full_spectrum(op), scipy.linalg.eigvals(op.to_dense())) <= 1e-8
 
+    def test_real_non_pt_operator_gets_complex_qr(self):
+        # real symmetric, but its mirror image differs: not folded, and not
+        # sent to the tridiagonal route either
+        import scipy.linalg
+
+        op = DiscretizedOperator(
+            diag=[1.0, 2.0, 3.0, 4.0, 5.0], sub=[0.5, 0.25, 1.0, 2.0], sup=[0.5, 0.25, 1.0, 2.0]
+        )
+        assert op.pt_defect() > 0.0
+        vals = scipy.linalg.eigvals(op.to_dense())
+        np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
+
     def test_discretized_operators_never_reach_complex_qr(self, monkeypatch):
         # complex PT (the A5 grid), real symmetric (the oscillator) and real
         # non-symmetric (the oscillator on a stretched grid) operators
@@ -359,7 +375,7 @@ class TestFullSpectrum:
 
 class TestFold:
     @pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
-    @pytest.mark.parametrize("N", [1, 2, 3, 16, 17, 127, 200])
+    @pytest.mark.parametrize("N", [2, 3, 16, 17, 127, 200])
     def test_folded_matrix_is_the_explicit_similarity(self, N, real):
         op = _pt_operator(N, np.random.default_rng(N), real)
         assert op.pt_defect() == 0.0
@@ -396,13 +412,6 @@ class TestFold:
         tol = 64 * np.finfo(float).eps * op.norm_inf
         np.testing.assert_allclose(np.sort(np.concatenate(vals)), whole, rtol=0, atol=tol)
         np.testing.assert_allclose(full_spectrum(op).real, whole, rtol=0, atol=tol)
-
-    def test_size_one_leaves_an_empty_half(self):
-        op = DiscretizedOperator(diag=[2.5], sub=[], sup=[])
-        (p_diag, p_sub, _), (k_diag, k_sub, _) = solver._fold(op)
-        assert (p_diag.size, p_sub.size, k_diag.size, k_sub.size) == (1, 0, 0, 0)
-        assert solver._folded_matrix(*solver._fold(op)).tolist() == [[2.5]]
-        np.testing.assert_array_equal(full_spectrum(op), [2.5 + 0.0j])
 
     @pytest.mark.parametrize("N", [2, 3, 16])
     def test_complex_operators_give_exact_conjugate_pairs(self, N):
@@ -844,6 +853,12 @@ def test_two_grid_working_set():
 def test_instability_probe_trend():
     probe = positive_mass_instability_probe(grids=((8.0, 299), (16.0, 599)))
     assert probe[1]["min_real"] < probe[0]["min_real"]
+
+
+def test_instability_probe_rejects_a_fractional_grid_size():
+    # the grid is built from N as given, as GridSpec(15.0, 499.7) itself is
+    with pytest.raises(DomainError, match="N must be an integer"):
+        positive_mass_instability_probe(grids=((15.0, 499.7),))
 
 
 class TestInstabilityProbeEdge:
