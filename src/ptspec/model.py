@@ -116,7 +116,9 @@ def evaluate_potential(p: Potential, x):
     if isinstance(p, CoulombKratzer):
         if np.any(arr == 0):
             raise SingularPoint("Coulomb-Kratzer potential evaluated at x = 0")
-        v = 1j * p.Z / arr + p.F / (arr * arr)
+        v = 1j * p.Z / arr
+        if p.F != 0.0:  # every search host has F = 0 (solver._seeds)
+            v = v + p.F / (arr * arr)
     elif p.delta == 0.0:
         v = arr * arr
     else:

@@ -31,6 +31,8 @@ from __future__ import annotations
 
 import math
 import numbers
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -90,6 +92,8 @@ MIN_AUTO_BOX = 15.0
 STRETCH = 4.0  # a in the Coulomb-Kratzer search's path map s = a*sinh(t/a)
 _START_SEED = 0x5EED
 _EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every step
+# what the operators of one _search share, while it runs (_sharing)
+_SHARED: ContextVar[Optional[dict]] = ContextVar("ptspec_solver_shared", default=None)
 
 
 @dataclass(frozen=True)
@@ -198,7 +202,12 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscretizedOperator:
-    """Complex tridiagonal matrix: diag (N >= 2), sub (N-1, row i+1 col i), sup (N-1)."""
+    """Complex tridiagonal matrix: diag (N >= 2), sub (N-1, row i+1 col i), sup (N-1).
+
+    A band may be read-only and shared with other operators: discretize's
+    off-diagonal bands are, since they depend only on the path, the grid and
+    the mass sign (_geometry).
+    """
 
     diag: np.ndarray
     sub: np.ndarray
@@ -249,12 +258,17 @@ class DiscretizedOperator:
         """Unit inverse-iteration start vector (_start_vector), read-only.
 
         Cached like norm_inf: every search on this operator starts from a
-        copy of it.
+        copy of it.  Within one _search every operator of this size holds the
+        same array (_sharing).
         """
-        v = _start_vector(self.size)
-        v /= np.linalg.norm(v)
-        v.flags.writeable = False
-        return v
+
+        def unit() -> np.ndarray:
+            v = _start_vector(self.size)
+            v /= np.linalg.norm(v)
+            v.flags.writeable = False
+            return v
+
+        return _per_solve(self.size, unit)
 
     def pt_defect(self) -> float:
         """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
@@ -298,9 +312,12 @@ def discretize(
     should then carry only the remaining terms.  On a stretched grid x and
     x_t = x'(g(t)) g'(t) are taken at s = g(t) (see GridSpec.on_path).  A
     node may sit on a U-path junction: x' is continuous there and x'' is
-    never sampled.  MassConfig checks the mass sign (DomainError unless +1
-    or -1).  Raises GeometryError for the width-zero contour and SingularL
-    for a Coulomb-Kratzer run at integer L.
+    never sampled.  The path, kinetic and off-diagonal parts come from
+    _geometry, so the off-diagonal bands are read-only, and within one
+    _search every host operator shares them; only the diagonal is formed
+    here.  MassConfig checks the mass sign (DomainError unless +1 or -1).
+    Raises GeometryError for the width-zero contour and SingularL for a
+    Coulomb-Kratzer run at integer L.
     """
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
@@ -311,6 +328,27 @@ def discretize(
     if coupled and abs(L - round(L)) < INTEGER_L_TOL:
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
+    x, kinetic, sub, sup = _per_solve(
+        (contour, grid, mass_sign), lambda: _geometry(contour, mass_sign, grid)
+    )
+    coeff = evaluate_potential(potential, x)
+    lam = L * (L + 1.0)
+    if lam != 0.0:
+        if np.any(x == 0):
+            raise SingularPoint("centrifugal term evaluated at x = 0")
+        coeff = coeff + lam / (x * x)
+    return DiscretizedOperator(diag=mass_sign * (kinetic + coeff), sub=sub, sup=sup)
+
+
+def _geometry(contour: Contour, mass_sign: int, grid: GridSpec) -> tuple:
+    """(x, kinetic diagonal, sub, sup) of discretize: the part no potential enters.
+
+    x is the path at the nodes.  -(1/x_t) d/dt (1/x_t) d/dt in conservative
+    form, with w = 1/x_t at the nodes and midpoints, has row j
+    -(w_node[j]/h^2) * (w_mid[j+1]*(v[j+1]-v[j]) - w_mid[j]*(v[j]-v[j-1])):
+    the kinetic diagonal w_node (w_mid[1:] + w_mid[:-1]) / h^2, and the
+    off-diagonal bands, which carry the mass sign and are made read-only.
+    """
     s, ds = grid.on_path(grid.nodes())
     x, xp = _path(contour, s)  # x and x' at the nodes
     m, dm = grid.on_path(grid.midpoints())
@@ -321,20 +359,41 @@ def discretize(
     w_node = np.divide(1.0, xp, out=xp)  # 1/x_t, in place of x_t
     w_mid = np.divide(1.0, xp_mid, out=xp_mid)
 
-    coeff = evaluate_potential(potential, x)
-    lam = L * (L + 1.0)
-    if lam != 0.0:
-        if np.any(x == 0):
-            raise SingularPoint("centrifugal term evaluated at x = 0")
-        coeff = coeff + lam / (x * x)
-
-    # -(1/x_t) d/dt (1/x_t) d/dt in conservative form:
-    # row j:  -(w_node[j]/h^2) * (w_mid[j+1]*(v[j+1]-v[j]) - w_mid[j]*(v[j]-v[j-1]))
     h2 = grid.h * grid.h
-    diag = mass_sign * (w_node * (w_mid[1:] + w_mid[:-1]) / h2 + coeff)
+    kinetic = w_node * (w_mid[1:] + w_mid[:-1]) / h2
     sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
     sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
-    return DiscretizedOperator(diag=diag, sub=sub, sup=sup)
+    sub.flags.writeable = sup.flags.writeable = False
+    return x, kinetic, sub, sup
+
+
+@contextmanager
+def _sharing():
+    """Open the store that _per_solve fills for one _search; it is gone on exit.
+
+    Yields the store, a dict: clearing it drops what was built so far.  A
+    context variable and not an argument, because discretize, which reads
+    it, keeps its public signature.
+    """
+    shared = {}
+    token = _SHARED.set(shared)
+    try:
+        yield shared
+    finally:
+        _SHARED.reset(token)
+
+
+def _per_solve(key, build):
+    """build(), made once per key while a _sharing block is open.
+
+    Outside such a block every call builds afresh and nothing is kept.
+    """
+    shared = _SHARED.get()
+    if shared is None:
+        return build()
+    if key not in shared:
+        shared[key] = build()
+    return shared[key]
 
 
 def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
@@ -737,20 +796,22 @@ def _verdict(lv: Level, res: TargetedResult, grid: GridSpec) -> LevelResult:
 def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     """One LevelResult per seed on one grid, in closed-form table order.
 
-    One host operator at a time: each host is discretized, its seeds are
-    solved, and it is released before the next host is built.  A seed's
-    search depends only on its host and its shift (the start vector is
-    fixed), so grouping the seeds by host leaves every result unchanged.
+    Every host operator is built through discretize before the first
+    search, and they share one path geometry (_geometry), which is dropped
+    once they are built: all that the hosts keep of it is its read-only
+    off-diagonal bands.  Every search starts from one read-only start vector
+    (DiscretizedOperator.start_vector).  Nothing shared outlives the call.
+    A seed's search depends only on its host and its shift, so the results
+    are those of one discretize and one search per seed.
     """
     seeds = _seeds(problem, grid, n_max)
-    levels = [None] * len(seeds)
-    for host in dict.fromkeys(host for _, host in seeds):
-        op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
-        for i, (lv, seed_host) in enumerate(seeds):
-            if seed_host == host:
-                levels[i] = _search_level(op, lv, grid)
-        del op
-    return levels
+    with _sharing() as shared:
+        ops = {
+            host: discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+            for host in dict.fromkeys(host for _, host in seeds)
+        }
+        shared.clear()  # the geometry, before any LU holds memory
+        return [_search_level(ops[host], lv, grid) for lv, host in seeds]
 
 
 def _search_level(op: DiscretizedOperator, lv: Level, grid: GridSpec) -> LevelResult:
@@ -838,6 +899,8 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
 
     n = op.size
     shift, solve = _shifted_solver(op, -op.norm_inf)
+    # v0 is the raw draw: op.start_vector, scaled to unit norm, would start
+    # ARPACK on other rounding and move the probe's bits
     # ARPACK hands matvec a view of its workspace, which solve must not overwrite
     inverse = LinearOperator((n, n), matvec=lambda x: solve(x.copy()), dtype=complex)
     try:

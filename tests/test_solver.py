@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptspec.analytic import Level, spectrum_table
-from ptspec.contour import StraightLine, UShaped
+from ptspec.contour import StraightLine, UShaped, derivatives, evaluate
 from ptspec.errors import (
     ConvergenceFailure,
     DomainError,
@@ -16,7 +16,7 @@ from ptspec.errors import (
     UnsupportedGeometry,
 )
 from ptspec import solver
-from ptspec.model import BenderBoettcher, CoulombKratzer
+from ptspec.model import BenderBoettcher, CoulombKratzer, evaluate_potential
 from ptspec.solver import (
     DENSE_CEILING,
     BoundStateProblem,
@@ -127,7 +127,86 @@ class TestAlignedGrid:
         assert grid == GridSpec(15.0, 100, stretched=True)
 
 
+def _plain_discretize(contour, potential, L, mass_sign, grid):
+    """discretize's formula in one pass, on fresh arrays, with no shared state.
+
+    The oracle for the shared-geometry assembly: every band is one
+    expression, and the Coulomb-Kratzer term is i*Z/x + F/x^2 whatever F is.
+    """
+    s, ds = grid.on_path(grid.nodes())
+    x, xp = evaluate(contour, s), derivatives(contour, s)
+    m, dm = grid.on_path(grid.midpoints())
+    xp_mid = derivatives(contour, m)
+    if ds is not None:
+        xp, xp_mid = xp * ds, xp_mid * dm
+    w_node, w_mid = 1.0 / xp, 1.0 / xp_mid
+    if isinstance(potential, CoulombKratzer):
+        coeff = 1j * potential.Z / x + potential.F / (x * x)
+    else:
+        coeff = evaluate_potential(potential, x)
+    lam = L * (L + 1.0)
+    if lam != 0.0:
+        coeff = coeff + lam / (x * x)
+    h2 = grid.h * grid.h
+    diag = mass_sign * (w_node * (w_mid[1:] + w_mid[:-1]) / h2 + coeff)
+    sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
+    sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
+    return DiscretizedOperator(diag=diag, sub=sub, sup=sup)
+
+
+def _assert_same_bits(op, expected):
+    # tobytes tells -0.0 from 0.0, which array equality does not
+    for band, want in zip((op.diag, op.sub, op.sup), (expected.diag, expected.sub, expected.sup)):
+        assert band.dtype == want.dtype and band.shape == want.shape
+        assert band.tobytes() == want.tobytes()
+
+
 class TestDiscretize:
+    @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+    @pytest.mark.parametrize("aligned", [False, True], ids=["plain", "aligned"])
+    @pytest.mark.parametrize("mass_sign", [1, -1])
+    @pytest.mark.parametrize("Z", [1.0, -1.0])
+    @pytest.mark.parametrize("L", [0.3, -0.4, 2.2])
+    def test_same_bits_as_plain_assembly(self, L, Z, mass_sign, aligned, warm):
+        contour, grid = UShaped(1.0), GridSpec(15.0, 401)
+        if aligned:
+            grid = aligned_grid(contour, grid)
+        if warm:  # the other host builds the geometry this one reuses
+            with solver._sharing():
+                discretize(contour, CoulombKratzer(-Z), L, mass_sign, grid)
+                op = discretize(contour, CoulombKratzer(Z), L, mass_sign, grid)
+        else:
+            op = discretize(contour, CoulombKratzer(Z), L, mass_sign, grid)
+        _assert_same_bits(op, _plain_discretize(contour, CoulombKratzer(Z), L, mass_sign, grid))
+
+    @pytest.mark.parametrize(
+        "contour, potential, L, mass_sign, grid",
+        [
+            (StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 800)),
+            (StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(6.0, 201, stretched=True)),
+            (UShaped(0.5), CoulombKratzer(1.0, F=0.5), 0.3, -1, GridSpec(15.0, 400)),
+        ],
+        ids=["oscillator", "stretched oscillator", "kratzer term"],
+    )
+    def test_same_bits_as_plain_assembly_off_the_search(self, contour, potential, L, mass_sign, grid):
+        op = discretize(contour, potential, L, mass_sign, grid)
+        _assert_same_bits(op, _plain_discretize(contour, potential, L, mass_sign, grid))
+
+    def test_hosts_share_read_only_bands(self):
+        contour, grid = UShaped(1.0), aligned_grid(UShaped(1.0), GridSpec(15.0, 400))
+        with solver._sharing():
+            a = discretize(contour, CoulombKratzer(1.0), 0.3, -1, grid)
+            b = discretize(contour, CoulombKratzer(-1.0), 0.3, -1, grid)
+        assert a.sub is b.sub and a.sup is b.sup
+        assert not np.array_equal(a.diag, b.diag)
+        for band in (a.sub, a.sup):
+            with pytest.raises(ValueError, match="read-only"):
+                band[0] = 0.0
+        # outside a search every call builds its own bands
+        c = discretize(contour, CoulombKratzer(1.0), 0.3, -1, grid)
+        assert not np.shares_memory(c.sub, a.sub) and not c.sub.flags.writeable
+        assert solver._SHARED.get() is None
+
     def test_tridiagonal_shape(self):
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(10.0, 64))
         assert op.diag.shape == (64,)
@@ -720,21 +799,37 @@ class TestFindBoundStates:
         assert all(r.eigenvalue is not None for r in res.levels[1:])
 
     def test_host_by_host_search_matches_one_search_per_seed(self):
-        # at L = 1.3 the table order alternates hosts (-Z, Z, -Z, Z, ...), so
-        # solving host by host reorders the searches; no result may move
+        # at L = 1.3 the table order alternates hosts (-Z, Z, -Z, Z, ...), and
+        # both host operators share one geometry and start vector; no result
+        # may move from one plain assembly and one search per seed
         problem = ck_problem(L=1.3)
         grid = aligned_grid(problem.contour, GridSpec(30.0, 2000))
         seeds = _seeds(problem, grid, 2)
         assert [host.Z for _, host in seeds][:4] == [-1.0, 1.0, -1.0, 1.0]
         expected = []
         for lv, host in seeds:
-            op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+            op = _plain_discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
             bands = (op.diag.copy(), op.sub.copy(), op.sup.copy())
             expected.append(_verdict(lv, targeted_eigenvalue(op, lv.energy), grid))
             # the banded LU and the iteration run in place, never on the operator
             for band, before in zip((op.diag, op.sub, op.sup), bands):
                 np.testing.assert_array_equal(band, before)
         assert find_bound_states(problem, GridSpec(30.0, 2000), 2).levels == expected
+
+    def test_hosts_share_one_geometry_and_start_vector(self, monkeypatch):
+        real = solver.targeted_eigenvalue
+        searched = {}
+
+        def record(op, shift):
+            searched[id(op)] = op
+            return real(op, shift)
+
+        monkeypatch.setattr(solver, "targeted_eigenvalue", record)
+        find_bound_states(ck_problem(L=1.3), GridSpec(30.0, 2000), 2)
+        a, b = searched.values()  # one operator per coupling-sign host
+        assert a.sub is b.sub and a.sup is b.sup
+        assert a.start_vector is b.start_vector and not a.start_vector.flags.writeable
+        assert solver._SHARED.get() is None  # nothing shared outlives the call
 
     def test_two_grid_keeps_fine_run(self):
         # at L = 2.2 the (0,-1) and (1,-1) seeds stay unmatched on both grids
@@ -833,21 +928,26 @@ def test_matched_stays_matched_at_smaller_step_and_wider_box(L, epsilon, S, n):
 
 
 def test_two_grid_working_set():
-    # one grid, one host operator, its in-place banded LU and a few N-vectors
-    # at a time: the traced peak of a two-grid search stays near 11 vectors
-    # of the fine grid
+    # one grid at a time: its host operators, their shared bands and start
+    # vector, the in-place banded LU and a few N-vectors; the traced peak of
+    # a two-grid search stays near 12.4 vectors of the fine grid, and nothing
+    # of size N outlives the call
     import tracemalloc
 
     grid = GridSpec(15.0, 2000)
-    find_bound_states(ck_problem(), grid, n_max=2, two_grid=True)  # load the lazy imports
+    # load the lazy imports on another grid, so that state kept from an
+    # identical call cannot lower the peak
+    find_bound_states(ck_problem(), GridSpec(15.0, 1000), n_max=2, two_grid=True)
     tracemalloc.start()
     try:
-        find_bound_states(ck_problem(), grid, n_max=2, two_grid=True)
-        peak = tracemalloc.get_traced_memory()[1]
+        result = find_bound_states(ck_problem(), grid, n_max=2, two_grid=True)
+        held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    assert result.convergence is not None
     vector = 16 * (2 * grid.N + 1)  # bytes of one complex vector on the fine grid
     assert peak <= 13 * vector, f"peak {peak / vector:.1f} fine-grid vectors"
+    assert held <= 0.5 * vector, f"{held / vector:.2f} fine-grid vectors held after the call"
 
 
 def test_instability_probe_trend():
@@ -888,6 +988,24 @@ class TestInstabilityProbeEdge:
         with pytest.raises(ConvergenceFailure) as info:
             positive_mass_instability_probe(1.0, 2.2, 0.5, grids=((30.0, 99),))
         assert info.value.iterations == 1
+
+    def test_arnoldi_starts_from_a_fresh_start_vector(self, monkeypatch):
+        import scipy.sparse.linalg
+
+        real = scipy.sparse.linalg.eigs
+        starts = []
+
+        def record(*args, v0, **kwargs):
+            starts.append((v0.flags.writeable, v0.copy()))
+            return real(*args, v0=v0, **kwargs)
+
+        monkeypatch.setattr(scipy.sparse.linalg, "eigs", record)
+        op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, 1, GridSpec(8.0, 299))
+        _spectral_edge(op)
+        ((writeable, v0),) = starts
+        # unnormalized and writable, unlike op.start_vector
+        assert writeable
+        assert v0.tobytes() == solver._start_vector(op.size).tobytes()
 
     def test_shift_on_an_eigenvalue_is_nudged_off(self):
         # diagonal operator: the Gershgorin shift -||op||_inf = -1 is itself an eigenvalue
