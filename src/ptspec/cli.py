@@ -376,8 +376,12 @@ def main(argv=None) -> int:
 
     out = params.get("out")
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(artifact)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(artifact)
+        except OSError as exc:
+            print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+            return 1
     else:
         sys.stdout.write(artifact)
     return 0

@@ -1,4 +1,4 @@
-"""Complexified coordinate contours and admissible asymptote angles.
+"""Complexified coordinate contours.
 
 Two path families are supported: straight lines through the origin whose
 half-branches rise at a slope +/-phi, and U-shaped paths that descend along
@@ -19,11 +19,9 @@ __all__ = [
     "StraightLine",
     "UShaped",
     "Contour",
-    "AngleWindow",
     "evaluate",
     "derivatives",
     "pt_residual",
-    "angle_window",
 ]
 
 
@@ -32,6 +30,10 @@ class StraightLine:
     """Two half-lines from the origin: s*exp(i*phi) for s >= 0, s*exp(-i*phi) below."""
 
     phi: float = 0.0
+
+    def __post_init__(self):
+        if not math.isfinite(self.phi):
+            raise DomainError(f"phi must be finite, got {self.phi}")
 
 
 @dataclass(frozen=True)
@@ -46,6 +48,8 @@ class UShaped:
     epsilon: float = 1.0
 
     def __post_init__(self):
+        if not math.isfinite(self.epsilon):
+            raise DomainError(f"epsilon must be finite, got {self.epsilon}")
         if self.epsilon < 0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 
@@ -56,18 +60,6 @@ class UShaped:
 
 
 Contour = StraightLine | UShaped
-
-
-@dataclass(frozen=True)
-class AngleWindow:
-    """Open interval of admissible slopes phi with its optimal midpoint."""
-
-    lower: float
-    upper: float
-    optimal: float
-
-    def contains(self, phi: float) -> bool:
-        return self.lower < phi < self.upper
 
 
 def _as_array(s):
@@ -129,18 +121,3 @@ def pt_residual(contour: Contour, s):
     r = np.abs(evaluate(contour, -arr) + np.conj(evaluate(contour, arr)))
     return float(r) if scalar else r
 
-
-def angle_window(delta: float, branch: int = 0) -> AngleWindow:
-    """Admissible slope window for the exponent-delta potential family.
-
-    branch 0 is the principal window; branch 1 the next one up.  The optimal
-    slope is the exact midpoint of the window.
-    """
-    if delta <= -1.0:
-        raise DomainError(f"angle window degenerates for delta <= -1, got {delta}")
-    if branch < 0:
-        raise DomainError(f"branch must be a nonnegative integer, got {branch}")
-    width = math.pi / (4.0 + 4.0 * delta)
-    lower = (2 * branch + 1) * width - 0.5 * math.pi
-    upper = (2 * branch + 3) * width - 0.5 * math.pi
-    return AngleWindow(lower=lower, upper=upper, optimal=0.5 * (lower + upper))

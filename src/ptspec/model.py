@@ -17,7 +17,7 @@ from .errors import DomainError, FallToCenter, SingularPoint, UnsupportedGeometr
 
 __all__ = [
     "CoulombKratzer",
-    "BenderBoettcher",
+    "Oscillator",
     "Potential",
     "MassConfig",
     "AngularMomentum",
@@ -39,24 +39,21 @@ INTEGER_L_TOL = 1e-12
 
 @dataclass(frozen=True)
 class CoulombKratzer:
-    """V(x) = i*Z/x + F/x^2."""
+    """V(x) = i*Z/x.
+
+    The Kratzer term F/x^2 is carried by the centrifugal strength L,
+    L(L+1) = ell(ell+1) + F (effective_L).
+    """
 
     Z: float
-    F: float = 0.0
 
 
 @dataclass(frozen=True)
-class BenderBoettcher:
-    """V(x) = x^2 * (i*x)^(4*delta) on the principal branch of the cut plane."""
-
-    delta: float
-
-    def __post_init__(self):
-        if self.delta < -0.5:
-            raise DomainError(f"exponent delta must be >= -1/2, got {self.delta}")
+class Oscillator:
+    """V(x) = x^2."""
 
 
-Potential = CoulombKratzer | BenderBoettcher
+Potential = CoulombKratzer | Oscillator
 
 
 @dataclass(frozen=True)
@@ -96,20 +93,11 @@ class StabilityVerdict:
     narrative: str
 
 
-def _wrapped_phase(x: np.ndarray) -> np.ndarray:
-    """Complex phase in (-3*pi/2, pi/2], cut running upward from x = 0."""
-    theta = np.angle(x)
-    return np.where(theta > 0.5 * math.pi, theta - 2.0 * math.pi, theta)
-
-
 def evaluate_potential(p: Potential, x):
     """Evaluate the potential at complex x (scalar or array).
 
-    Raises SingularPoint at x = 0 for the Coulomb-Kratzer family.  The
-    oscillator family stays finite there (|x|^(2+4*delta) -> 0 for
-    delta > -1/2, constant -1 at delta = -1/2) and evaluates to its limit.
-    Fractional powers use the phase convention above; rational potentials
-    are branch-free.
+    Raises SingularPoint at x = 0 for the Coulomb-Kratzer potential.  Both
+    potentials are rational, so no branch choice enters.
     """
     arr = np.asarray(x, dtype=complex)
     scalar = arr.ndim == 0
@@ -117,18 +105,8 @@ def evaluate_potential(p: Potential, x):
         if np.any(arr == 0):
             raise SingularPoint("Coulomb-Kratzer potential evaluated at x = 0")
         v = 1j * p.Z / arr
-        if p.F != 0.0:  # every search host has F = 0 (solver._seeds)
-            v = v + p.F / (arr * arr)
-    elif p.delta == 0.0:
-        v = arr * arr
     else:
-        power = 4.0 * p.delta
-        zero = arr == 0
-        safe = np.where(zero, 1.0, arr)
-        phase = _wrapped_phase(safe) + 0.5 * math.pi
-        v = safe * safe * np.exp(power * (np.log(np.abs(safe)) + 1j * phase))
-        limit = -1.0 if p.delta == -0.5 else 0.0
-        v = np.where(zero, limit, v)
+        v = arr * arr
     return complex(v) if scalar else v
 
 

@@ -55,9 +55,9 @@ from .errors import (
 )
 from .model import (
     INTEGER_L_TOL,
-    BenderBoettcher,
     CoulombKratzer,
     MassConfig,
+    Oscillator,
     Potential,
     evaluate_potential,
 )
@@ -293,7 +293,7 @@ def oscillator_problem() -> BoundStateProblem:
     """
     return BoundStateProblem(
         contour=StraightLine(0.0),
-        potential=BenderBoettcher(0.0),
+        potential=Oscillator(),
         L=0.0,
         mass_sign=1,
     )
@@ -308,23 +308,19 @@ def discretize(
 ) -> DiscretizedOperator:
     """Assemble the tridiagonal operator for the given model on the grid.
 
-    Fold any 1/x^2 coupling into L before calling; the potential argument
-    should then carry only the remaining terms.  On a stretched grid x and
-    x_t = x'(g(t)) g'(t) are taken at s = g(t) (see GridSpec.on_path).  A
-    node may sit on a U-path junction: x' is continuous there and x'' is
-    never sampled.  The path, kinetic and off-diagonal parts come from
-    _geometry, so the off-diagonal bands are read-only, and within one
-    _search every host operator shares them; only the diagonal is formed
-    here.  MassConfig checks the mass sign (DomainError unless +1 or -1).
-    Raises GeometryError for the width-zero contour and SingularL for a
-    Coulomb-Kratzer run at integer L.
+    On a stretched grid x and x_t = x'(g(t)) g'(t) are taken at s = g(t)
+    (see GridSpec.on_path).  A node may sit on a U-path junction: x' is
+    continuous there and x'' is never sampled.  The path, kinetic and
+    off-diagonal parts come from _geometry, so the off-diagonal bands are
+    read-only, and within one _search every host operator shares them; only
+    the diagonal is formed here.  MassConfig checks the mass sign
+    (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
+    contour and SingularL for a Coulomb-Kratzer run at integer L.
     """
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
-    coupled = isinstance(potential, CoulombKratzer) and (
-        potential.Z != 0.0 or potential.F != 0.0
-    )
+    coupled = isinstance(potential, CoulombKratzer) and potential.Z != 0.0
     if coupled and abs(L - round(L)) < INTEGER_L_TOL:
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
@@ -740,12 +736,8 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
             "bound-state search supports the negative-mass Coulomb-Kratzer model "
             "on the U path and the oscillator benchmark only"
         )
-    if p.F != 0.0:
-        raise DomainError(
-            "fold the 1/x^2 coupling into L before solving; keep potential.F = 0"
-        )
     return [
-        (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv), F=0.0))
+        (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv)))
         for lv in analytic.spectrum_table(p.Z, L, n_max, mass_sign=-1)
         if lv.kappa > 0 and MIN_DECAY_LENGTHS / lv.kappa <= grid.reach
     ]

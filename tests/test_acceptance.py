@@ -18,7 +18,7 @@ from ptspec.analytic import (
     level,
 )
 from ptspec.contour import StraightLine, UShaped, pt_residual
-from ptspec.model import BenderBoettcher, CoulombKratzer, MassConfig, stability_verdict
+from ptspec.model import CoulombKratzer, MassConfig, stability_verdict
 from ptspec.solver import (
     BoundStateProblem,
     GridSpec,

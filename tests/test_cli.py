@@ -331,6 +331,16 @@ class TestDeterminismAndOutput:
         assert content.startswith("s,re_x,im_x,re_dx,im_dx")
         assert len(content.strip().split("\n")) == 11
 
+    def test_unwritable_out_path_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.csv"
+        code, out, err = run_cli(
+            capsys, "contour", "sample", "--n", "10", "--out", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}")
+        assert not target.parent.exists()
+
 
 def test_closed_form_commands_never_load_scipy():
     """Cold start: the closed-form commands and `import ptspec` need only numpy.

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptspec.contour import (
-    AngleWindow,
     StraightLine,
     UShaped,
-    angle_window,
     derivatives,
     evaluate,
     pt_residual,
@@ -139,62 +137,14 @@ def test_pointwise_limit_to_degenerate_contour():
         assert prev < 5e-3
 
 
-def test_angle_window_delta_zero():
-    w = angle_window(0.0, 0)
-    assert w.optimal == pytest.approx(0.0, abs=1e-15)
-    assert w.lower == pytest.approx(-math.pi / 4)
-    assert w.upper == pytest.approx(math.pi / 4)
-
-
-def test_angle_window_coulomb_case():
-    # 2*delta = -1: slope window (0, pi) with optimal pi/2
-    w = angle_window(-0.5, 0)
-    assert w.optimal == pytest.approx(math.pi / 2, rel=1e-15)
-    assert w.lower == pytest.approx(0.0, abs=1e-15)
-    assert w.upper == pytest.approx(math.pi, rel=1e-15)
-
-
-def test_angle_window_delta_one():
-    assert angle_window(1.0, 0).optimal == pytest.approx(math.pi / 4 - math.pi / 2)
-
-
-def test_angle_window_second_branch_adjacent():
-    w0 = angle_window(0.5, 0)
-    w1 = angle_window(0.5, 1)
-    assert w1.lower == pytest.approx(w0.upper)
-    assert w1.upper > w1.lower
-
-
-@given(delta=st.floats(min_value=-0.99, max_value=4.0), branch=st.integers(0, 3))
-@settings(max_examples=200, deadline=None)
-def test_angle_window_midpoint_property(delta, branch):
-    w = angle_window(delta, branch)
-    assert w.lower < w.optimal < w.upper
-    assert w.optimal == 0.5 * (w.lower + w.upper)  # exact by construction
-
-
-def test_angle_window_contains_default_slopes():
-    # the contours this package discretizes use phi = 0 (delta = 0 family)
-    # and phi = pi/2 (2*delta = -1 family); both sit at their window centers
-    assert angle_window(0.0, 0).contains(0.0)
-    assert angle_window(-0.5, 0).contains(math.pi / 2)
-
-
-def test_angle_window_domain_error():
-    with pytest.raises(DomainError):
-        angle_window(-1.0, 0)
-    with pytest.raises(DomainError):
-        angle_window(-1.5, 0)
-    with pytest.raises(DomainError):
-        angle_window(0.0, -1)
-
-
 def test_negative_epsilon_rejected():
-    with pytest.raises(DomainError):
-        UShaped(-0.5)
+    # NaN compares false with 0, so a sign test alone lets it through
+    for epsilon in (-0.5, math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            UShaped(epsilon)
 
 
-def test_angle_window_is_frozen_record():
-    w = AngleWindow(lower=0.0, upper=1.0, optimal=0.5)
-    with pytest.raises(AttributeError):
-        w.lower = 2.0
+def test_nonfinite_phi_rejected():
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(DomainError):
+            StraightLine(phi)

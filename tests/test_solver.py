@@ -16,7 +16,7 @@ from ptspec.errors import (
     UnsupportedGeometry,
 )
 from ptspec import solver
-from ptspec.model import BenderBoettcher, CoulombKratzer, evaluate_potential
+from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential
 from ptspec.solver import (
     DENSE_CEILING,
     BoundStateProblem,
@@ -131,7 +131,8 @@ def _plain_discretize(contour, potential, L, mass_sign, grid):
     """discretize's formula in one pass, on fresh arrays, with no shared state.
 
     The oracle for the shared-geometry assembly: every band is one
-    expression, and the Coulomb-Kratzer term is i*Z/x + F/x^2 whatever F is.
+    expression, and the Coulomb-Kratzer term i*Z/x is written out, not
+    taken from evaluate_potential.
     """
     s, ds = grid.on_path(grid.nodes())
     x, xp = evaluate(contour, s), derivatives(contour, s)
@@ -141,7 +142,7 @@ def _plain_discretize(contour, potential, L, mass_sign, grid):
         xp, xp_mid = xp * ds, xp_mid * dm
     w_node, w_mid = 1.0 / xp, 1.0 / xp_mid
     if isinstance(potential, CoulombKratzer):
-        coeff = 1j * potential.Z / x + potential.F / (x * x)
+        coeff = 1j * potential.Z / x
     else:
         coeff = evaluate_potential(potential, x)
     lam = L * (L + 1.0)
@@ -182,9 +183,10 @@ class TestDiscretize:
     @pytest.mark.parametrize(
         "contour, potential, L, mass_sign, grid",
         [
-            (StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 800)),
-            (StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(6.0, 201, stretched=True)),
-            (UShaped(0.5), CoulombKratzer(1.0, F=0.5), 0.3, -1, GridSpec(15.0, 400)),
+            (StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(10.0, 800)),
+            (StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(6.0, 201, stretched=True)),
+            # the Kratzer term F = 0.5 at ell = 0, carried by L
+            (UShaped(0.5), CoulombKratzer(1.0), effective_L(0, 0.5).L, -1, GridSpec(15.0, 400)),
         ],
         ids=["oscillator", "stretched oscillator", "kratzer term"],
     )
@@ -270,7 +272,7 @@ class TestDiscretize:
         assert len(ratios) == 5 and all(3.9 <= r <= 4.1 for r in ratios)
 
     def test_oscillator_matrix_is_real_symmetric(self):
-        op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 200))
+        op = discretize(StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(10.0, 200))
         assert np.all(op.diag.imag == 0)
         np.testing.assert_array_equal(op.sub, op.sup)
 
@@ -510,7 +512,7 @@ class TestTargeted:
         assert res.iterations <= 2
 
     def test_oscillator_ground_state_from_offset_shift(self):
-        op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 800))
+        op = discretize(StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(10.0, 800))
         res = targeted_eigenvalue(op, 0.9)
         assert res.eigenvalue.real == pytest.approx(1.0, abs=1e-3)
         assert abs(res.eigenvalue.imag) < 1e-10
@@ -552,7 +554,7 @@ class TestTargeted:
             op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 4000))
             shift = DEEP
         elif case == "oscillator":
-            op = discretize(StraightLine(0.0), BenderBoettcher(0.0), 0.0, 1, GridSpec(10.0, 800))
+            op = discretize(StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(10.0, 800))
             shift = 2.9
         else:  # level (1, +1) at L = 1.65 stalls near residual 1e-2
             problem, grid = ck_problem(L=1.65), GridSpec(30.0, 2000)
@@ -725,18 +727,13 @@ class TestFindBoundStates:
         bad = BoundStateProblem(UShaped(1.0), CoulombKratzer(1.0), 0.3, 1)
         with pytest.raises(UnsupportedGeometry):
             find_bound_states(bad, GridSpec(10.0, 64), 0)
-        bent = BoundStateProblem(StraightLine(0.4), BenderBoettcher(0.0), 0.0, 1)
+        bent = BoundStateProblem(StraightLine(0.4), Oscillator(), 0.0, 1)
         # L = -1 has the same L(L+1) = 0, but the benchmark is oscillator_problem() only
-        centrifugal = BoundStateProblem(StraightLine(0.0), BenderBoettcher(0.0), -1.0, 1)
-        inverted = BoundStateProblem(StraightLine(0.0), BenderBoettcher(0.0), 0.0, -1)
+        centrifugal = BoundStateProblem(StraightLine(0.0), Oscillator(), -1.0, 1)
+        inverted = BoundStateProblem(StraightLine(0.0), Oscillator(), 0.0, -1)
         for problem in (bent, centrifugal, inverted):
             with pytest.raises(UnsupportedGeometry):
                 find_bound_states(problem, GridSpec(10.0, 64), 0)
-
-    def test_kratzer_coupling_must_be_folded(self):
-        prob = BoundStateProblem(UShaped(1.0), CoulombKratzer(1.0, F=0.5), 0.3, -1)
-        with pytest.raises(DomainError):
-            find_bound_states(prob, GridSpec(10.0, 64), 0)
 
     def test_two_grid_order_near_two(self):
         # the junction sits on a node of both grids, so no junction phase
@@ -925,6 +922,22 @@ def test_matched_stays_matched_at_smaller_step_and_wider_box(L, epsilon, S, n):
     assert wider.h == grid.h
     for other in (finer, wider):
         assert matched <= _keys(find_bound_states(problem, other, 2).matched)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="box-limited (2,+1) and the iteration stall: ROADMAP open items 1-2",
+)
+def test_matched_stays_matched_at_smaller_step_box_limited_draw():
+    # a draw on which the property above fails.  2L+1 = 5.5 is outside its
+    # integer exclusion.  On the aligned grid (T = 15.849, N = 5807), (2,+1)
+    # is matched through the 1e-3 floor after 12 steps; on the refined grid
+    # (N = 11615) inverse iteration reaches its 200-step cap at residual
+    # 2.7e-10, against a tolerance of 1.0e-10
+    problem = ck_problem(L=2.25, eps=0.5)
+    grid = aligned_grid(problem.contour, GridSpec(15.875, 5807))
+    assert (2, 1) in _keys(find_bound_states(problem, grid, 2).matched)
+    assert (2, 1) in _keys(find_bound_states(problem, grid.refined(), 2).matched)
 
 
 def test_two_grid_working_set():
