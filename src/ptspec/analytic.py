@@ -16,7 +16,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError, SingularCoupling
-from .model import MassConfig
+from .model import MassConfig, collapses
 
 __all__ = [
     "Level",
@@ -29,9 +29,6 @@ __all__ = [
     "ground_state_bruteforce",
     "ground_state_comparison",
 ]
-
-SINGULAR_DENOM_TOL = 1e-12
-SWEEP_GAP_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,27 +79,28 @@ class Figure3Row:
     minus_kappa: float | None
 
 
-def _denominator(L: float, n: int, sigma: int) -> float:
-    return 2.0 * L + 1.0 + sigma * (2 * n + 1)
+def _ratio(Z: float, t: float, n: int, sigma: int) -> float | None:
+    """Z / (t + sigma(2n+1)) at t = 2L+1, kappa in size; None where model.collapses it."""
+    den = t + sigma * (2 * n + 1)
+    return None if collapses(den) else Z / den
 
 
 def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
     """Single level of the closed-form spectrum.
 
     Raises SingularCoupling when the denominator 2L+1+sigma(2n+1) vanishes
-    (the collapse repeated at integer L).
+    (the collapse repeated at integer L, model.collapses).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if sigma not in (1, -1):
         raise DomainError(f"sigma must be +1 or -1, got {sigma}")
     MassConfig(mass_sign)
-    den = _denominator(L, n, sigma)
-    if abs(den) < SINGULAR_DENOM_TOL:
+    ratio = _ratio(Z, 2.0 * L + 1.0, n, sigma)
+    if ratio is None:
         raise SingularCoupling(
             f"level (n={n}, sigma={sigma:+d}) singular at 2L+1 = {2 * L + 1}"
         )
-    ratio = Z / den
     return Level(n=n, sigma=sigma, energy=mass_sign * ratio * ratio, kappa=abs(ratio))
 
 
@@ -127,10 +125,9 @@ def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level
 def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
     """-kappa(n, sigma) sampled over a grid of 2L+1 values.
 
-    Emits one row per (grid point, n, sigma) in input order.  Grid points
-    within SWEEP_GAP_TOL of a vanishing denominator become explicit gap
-    records (minus_kappa None) so the collapse asymptotes stay visible in
-    the output.
+    Emits one row per (grid point, n, sigma) in input order.  Where the level
+    collapses, as level judges it, the row is an explicit gap record
+    (minus_kappa None), so the collapse asymptotes stay visible in the output.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -139,11 +136,8 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
         t = float(t)
         for n in range(n_max + 1):
             for sigma in (1, -1):
-                den = t + sigma * (2 * n + 1)
-                if abs(den) < SWEEP_GAP_TOL:
-                    rows.append(Figure3Row(t, n, sigma, None))
-                else:
-                    rows.append(Figure3Row(t, n, sigma, -abs(Z) / abs(den)))
+                ratio = _ratio(Z, t, n, sigma)
+                rows.append(Figure3Row(t, n, sigma, None if ratio is None else -abs(ratio)))
     return rows
 
 
@@ -163,10 +157,8 @@ def ground_state_compact_formula(Z: float, rep: Reparametrization) -> float:
 
 def ground_state_bruteforce(Z: float, L: float, n_max: int = 10) -> Level:
     """Minimum-energy level of the negative-mass table up to n_max (the oracle)."""
-    table = spectrum_table(Z, L, n_max, mass_sign=-1)
-    if not table:
-        raise SingularCoupling(f"no nonsingular level with n <= {n_max} at L = {L}")
-    return table[0]
+    # never empty: each level collapses at its own integer, so at most one is skipped
+    return spectrum_table(Z, L, n_max, mass_sign=-1)[0]
 
 
 def ground_state_comparison(Z: float, rep: Reparametrization, n_max: int = 10) -> dict:

@@ -34,7 +34,7 @@ __all__ = [
 DECAYING_PAIR = "decaying_pair"
 PLANE_WAVE_PAIR = "plane_wave_pair"
 
-INTEGER_L_TOL = 1e-12
+INTEGER_L_TOL = 1e-12  # the collapse rule's one tolerance, see collapses
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ class AngularMomentum:
 
     @property
     def singular(self) -> bool:
-        """True when L sits on an excluded integer within tolerance."""
-        return abs(self.L - round(self.L)) < INTEGER_L_TOL
+        """True when L is an integer (integer_L)."""
+        return integer_L(self.L)
 
 
 @dataclass(frozen=True)
@@ -91,6 +91,16 @@ class AsymptoticClassification:
 class StabilityVerdict:
     bounded_below: bool
     narrative: str
+
+
+def collapses(den: float) -> bool:
+    """True when a level denominator 2L+1+sigma(2n+1) = 2(L - k) is 0: |L - k| < INTEGER_L_TOL."""
+    return abs(den) < 2.0 * INTEGER_L_TOL
+
+
+def integer_L(L: float) -> bool:
+    """True when L is an integer: 2L+1 - (2k+1), k = round(L), collapses as in analytic._ratio."""
+    return collapses(2.0 * L + 1.0 - (2 * round(L) + 1))
 
 
 def evaluate_potential(p: Potential, x):

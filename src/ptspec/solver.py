@@ -54,12 +54,12 @@ from .errors import (
     UnsupportedGeometry,
 )
 from .model import (
-    INTEGER_L_TOL,
     CoulombKratzer,
     MassConfig,
     Oscillator,
     Potential,
     evaluate_potential,
+    integer_L,
 )
 
 __all__ = [
@@ -320,9 +320,8 @@ def discretize(
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
-    coupled = isinstance(potential, CoulombKratzer) and potential.Z != 0.0
-    if coupled and abs(L - round(L)) < INTEGER_L_TOL:
-        raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
+    if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
+        _refuse_integer_L(L)
 
     x, kinetic, sub, sup = _per_solve(
         (contour, grid, mass_sign), lambda: _geometry(contour, mass_sign, grid)
@@ -334,6 +333,12 @@ def discretize(
             raise SingularPoint("centrifugal term evaluated at x = 0")
         coeff = coeff + lam / (x * x)
     return DiscretizedOperator(diag=mass_sign * (kinetic + coeff), sub=sub, sup=sup)
+
+
+def _refuse_integer_L(L: float) -> None:
+    """SingularL at integer L (model.integer_L), where one closed-form level collapses."""
+    if integer_L(L):
+        raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
 
 def _geometry(contour: Contour, mass_sign: int, grid: GridSpec) -> tuple:
@@ -424,7 +429,7 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             )
         else:
             vals = scipy.linalg.eigvals(_folded_matrix(*_fold(op)), overwrite_a=True)
-    except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
+    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise ConvergenceFailure(f"dense QR iteration failed: {exc}") from exc
     return vals[np.lexsort((vals.imag, vals.real))]
 
@@ -703,12 +708,13 @@ class SpectrumResult:
 
 
 def auto_box(Z: float, L: float, n_max: int) -> float:
-    """Half-width S that seeds every negative-mass level up to n_max.
+    """Half-width S that seeds every negative-mass level up to n_max; SingularL at integer L.
 
     The largest of MIN_AUTO_BOX and MIN_DECAY_LENGTHS / kappa over the levels.
-    The search's reach g(T) (aligned_grid) is then at least S on every grid
-    the CLI builds, so the seeding rule in _seeds admits each of them.
+    A search whose reach g(T) (aligned_grid) falls below S is refused
+    (find_bound_states), so the seeding rule in _seeds admits each of them.
     """
+    _refuse_integer_L(L)
     table = analytic.spectrum_table(Z, L, n_max, mass_sign=-1)
     return max([MIN_AUTO_BOX] + [MIN_DECAY_LENGTHS / lv.kappa for lv in table if lv.kappa > 0])
 
@@ -736,6 +742,7 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
             "bound-state search supports the negative-mass Coulomb-Kratzer model "
             "on the U path and the oscillator benchmark only"
         )
+    _refuse_integer_L(L)
     return [
         (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv)))
         for lv in analytic.spectrum_table(p.Z, L, n_max, mass_sign=-1)
@@ -752,8 +759,7 @@ def _host_coupling(Z: float, L: float, lv: Level) -> float:
     Z * sigma * (2L+1+sigma(2n+1)) > 0; the search targets each level in its
     hosting convention.
     """
-    den = analytic._denominator(L, lv.n, lv.sigma)
-    return Z if Z * lv.sigma * den > 0 else -Z
+    return Z if lv.sigma * analytic._ratio(Z, 2.0 * L + 1.0, lv.n, lv.sigma) > 0 else -Z
 
 
 def _verdict(lv: Level, res: TargetedResult, grid: GridSpec) -> LevelResult:
@@ -829,8 +835,10 @@ def find_bound_states(
 
     Returns one LevelResult per seeded level, in closed-form table order, and
     the grid they were computed on.  A Coulomb-Kratzer search given a plain
-    grid runs on aligned_grid(contour, grid), whose ends reach far past S; a
-    stretched grid is used as given, as is the oscillator's grid.  Levels
+    grid runs on aligned_grid(contour, grid), whose ends reach far past S
+    unless epsilon puts the arc junction within a few steps of the origin:
+    a reach g(T) below S raises GeometryError.  A stretched grid is used as
+    given, as is the oscillator's grid.  Levels
     whose decay length 1/kappa exceeds a third of the reach are not seeded
     (the Dirichlet truncation error would dominate them).  Each level is
     targeted in the coupling-sign convention that hosts its decaying
@@ -846,7 +854,14 @@ def find_bound_states(
     level's error shrinks as a power of h; it is not a Richardson estimate.
     """
     if isinstance(problem.contour, UShaped) and not grid.stretched:
-        grid = aligned_grid(problem.contour, grid)
+        aligned = aligned_grid(problem.contour, grid)
+        if aligned.reach < grid.S:
+            raise GeometryError(
+                f"epsilon = {problem.contour.epsilon}: the aligned grid for S = {grid.S}, "
+                f"N = {grid.N} has T = {aligned.S:.4g} and reach g(T) = "
+                f"{aligned.reach:.4g} < S; raise N or epsilon"
+            )
+        grid = aligned
     levels = _search(problem, grid, n_max)
     if not two_grid:
         return SpectrumResult(levels=levels, grid=grid)

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,20 @@ class TestSpectrumNumeric:
         )
         assert code == 1
         assert "auto" in err
+
+    @pytest.mark.parametrize("argv, reason", [
+        (("--L", "1.0000000000007", "--N", "400"), "integer L"),
+        (("--L", "1.0000000000004", "--N", "400"), "integer L"),
+        (("--L", "0.3", "--epsilon", "0.001"), "reach g(T)"),
+    ])
+    def test_refused_search_is_one_error_line(self, capsys, argv, reason):
+        # a collapsed L and a reach below S: exit 1, one line, no warning before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "spectrum", "numeric", "--Z", "1", *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert reason in err
 
 
 class TestFigure3:

@@ -1,22 +1,24 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ptspec.analytic import Level, spectrum_table
+from ptspec.analytic import Level, figure3_data, level, spectrum_table
 from ptspec.contour import StraightLine, UShaped, derivatives, evaluate
 from ptspec.errors import (
     ConvergenceFailure,
     DomainError,
     FitError,
     GeometryError,
+    SingularCoupling,
     SingularL,
     UnsupportedGeometry,
 )
 from ptspec import solver
-from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential
+from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential, integer_L
 from ptspec.solver import (
     DENSE_CEILING,
     BoundStateProblem,
@@ -839,6 +841,105 @@ class TestFindBoundStates:
         assert fine.unmatched  # the unmatched seeds are kept too
         # the two runs pair level by level: the same seeds in the same order
         assert [r.level for r in fine.levels] == [r.level for r in res.levels]
+
+    def test_small_epsilon_reach_below_S_refused(self):
+        # the junction at eps = 0.001 lies under one step of the origin, so the
+        # aligned T drops to 6.28 and the reach g(T) = 9.2 falls short of S
+        grid = GridSpec(auto_box(1.0, 0.3, 2), 4000)  # --S auto: 19.8
+        aligned = aligned_grid(UShaped(0.001), grid)
+        assert aligned.reach < grid.S
+        with pytest.raises(GeometryError) as info:
+            find_bound_states(ck_problem(eps=0.001), grid, n_max=2)
+        message = str(info.value)
+        for value in ("epsilon = 0.001", f"S = {grid.S}", "N = 4000",
+                      f"T = {aligned.S:.4g}", f"g(T) = {aligned.reach:.4g}"):
+            assert value in message, (value, message)
+
+    def test_small_epsilon_reach_past_S_searched(self):
+        # at eps = 0.01 T = 12.57 and the reach 46 > S, so every requested level
+        # with 3/kappa <= S is seeded
+        grid = GridSpec(auto_box(1.0, 0.3, 2), 4000)
+        res = find_bound_states(ck_problem(eps=0.01), grid, n_max=2)
+        assert res.grid.S < grid.S <= res.grid.reach
+        assert len(res.levels) == 6
+
+
+class TestOneCollapseRule:
+    """Every consumer of the closed form decides a collapse alike (model.collapses).
+
+    Each case is (L, 2L+1); the collapsing level there is (n, sigma) = (1, -1).
+    """
+
+    COLLAPSED = [(1.0 + 7e-13, 2.0 * (1.0 + 7e-13) + 1.0), (0.5 * (2.0 + 1.5e-12), 3.0 + 1.5e-12)]
+    REGULAR = [(0.5 * (2.0 + 1e-10), 3.0 + 1e-10), (1.0 + 1e-9, 2.0 * (1.0 + 1e-9) + 1.0)]
+
+    @staticmethod
+    def verdicts(L: float, t: float) -> dict:
+        """Whether each consumer refuses, or leaves out, the level (1, -1)."""
+
+        def refuses(call, error) -> bool:
+            try:
+                call()
+            except error:
+                return True
+            return False
+
+        am = effective_L(0, L * (L + 1.0))
+        assert am.L == pytest.approx(L, abs=1e-15)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # spectrum_table warns as it skips
+            table = spectrum_table(1.0, L, 2, -1)
+        rows = figure3_data(1.0, [t], n_max=2)
+        return {
+            "effective_L": am.singular,
+            "level": refuses(lambda: level(1.0, L, 1, -1, -1), SingularCoupling),
+            "spectrum_table": (1, -1) not in {(lv.n, lv.sigma) for lv in table},
+            "figure3_data": any(
+                (r.n, r.sigma) == (1, -1) and r.minus_kappa is None for r in rows
+            ),
+            "discretize": refuses(
+                lambda: discretize(UShaped(1.0), CoulombKratzer(1.0), L, -1, GridSpec(10.0, 64)),
+                SingularL,
+            ),
+            "auto_box": refuses(lambda: auto_box(1.0, L, 2), SingularL),
+            "find_bound_states": refuses(
+                lambda: find_bound_states(ck_problem(L=L), GridSpec(15.0, 400), n_max=2),
+                SingularL,
+            ),
+        }
+
+    @pytest.mark.parametrize("L, t", COLLAPSED)
+    def test_collapsed_everywhere(self, L, t):
+        got = self.verdicts(L, t)
+        assert all(got.values()), got
+
+    @pytest.mark.parametrize("L, t", REGULAR)
+    def test_regular_everywhere(self, L, t):
+        got = self.verdicts(L, t)
+        assert not any(got.values()), got
+
+    def test_window_edges_agree(self):
+        # integer L forms the collapsing level's denominator as the closed form
+        # does, so the two agree even within one rounding of 2L+1 of the edge
+        for k in (-2, -1, 0, 1, 2):
+            n, sigma = (k, -1) if k >= 0 else (-k - 1, 1)
+            for L in [k + d + j * 2e-17 for d in (-1e-12, 1e-12) for j in range(-20, 21)]:
+                try:
+                    level(1.0, L, n, sigma, -1)
+                except SingularCoupling:
+                    assert integer_L(L), L
+                else:
+                    assert not integer_L(L), L
+
+    @pytest.mark.parametrize("Z, L", [(1.0, 1.0 + 4e-13), (1.0, 1.0 + 7e-13), (0.0, 1.0)])
+    def test_search_refuses_before_any_level_table(self, Z, L):
+        # one SingularL, and no RuntimeWarning from a level table before it
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularL):
+                auto_box(Z, L, 2)
+            with pytest.raises(SingularL):
+                find_bound_states(ck_problem(Z=Z, L=L), GridSpec(15.0, 400), n_max=2)
 
 
 def _keys(levels) -> set:
