@@ -12,11 +12,10 @@ keyed by (n, sigma), never by its energy ordering, which changes with L.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
-from .errors import DomainError, SingularCoupling
-from .model import MassConfig, collapses
+from .errors import DomainError
+from .model import MassConfig, check_L, collapses
 
 __all__ = [
     "Level",
@@ -88,36 +87,27 @@ def _ratio(Z: float, t: float, n: int, sigma: int) -> float | None:
 def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
     """Single level of the closed-form spectrum.
 
-    Raises SingularCoupling when the denominator 2L+1+sigma(2n+1) vanishes
-    (the collapse repeated at integer L, model.collapses).
+    Raises SingularL at integer L, where one denominator 2L+1+sigma(2n+1)
+    vanishes, whichever level (n, sigma) is asked for (model.check_L).
     """
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if sigma not in (1, -1):
         raise DomainError(f"sigma must be +1 or -1, got {sigma}")
     MassConfig(mass_sign)
+    check_L(L)
     ratio = _ratio(Z, 2.0 * L + 1.0, n, sigma)
-    if ratio is None:
-        raise SingularCoupling(
-            f"level (n={n}, sigma={sigma:+d}) singular at 2L+1 = {2 * L + 1}"
-        )
     return Level(n=n, sigma=sigma, energy=mass_sign * ratio * ratio, kappa=abs(ratio))
 
 
 def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level]:
     """All levels with n <= n_max, both branches, sorted by energy ascending.
 
-    Singular entries are skipped with a RuntimeWarning; the sweep continues.
+    Raises SingularL at integer L (level), for every n_max.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
-    levels = []
-    for n in range(n_max + 1):
-        for sigma in (1, -1):
-            try:
-                levels.append(level(Z, L, n, sigma, mass_sign))
-            except SingularCoupling as exc:
-                warnings.warn(str(exc), RuntimeWarning, stacklevel=2)
+    levels = [level(Z, L, n, sigma, mass_sign) for n in range(n_max + 1) for sigma in (1, -1)]
     levels.sort(key=lambda lv: (lv.energy, lv.n, lv.sigma))
     return levels
 
@@ -126,8 +116,9 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
     """-kappa(n, sigma) sampled over a grid of 2L+1 values.
 
     Emits one row per (grid point, n, sigma) in input order.  Where the level
-    collapses, as level judges it, the row is an explicit gap record
-    (minus_kappa None), so the collapse asymptotes stay visible in the output.
+    collapses (model.collapses, by which level refuses integer L), the row is
+    an explicit gap record (minus_kappa None), so the collapse asymptotes stay
+    visible in the output.
     """
     if n_max < 0:
         raise DomainError(f"n_max must be >= 0, got {n_max}")
@@ -157,7 +148,6 @@ def ground_state_compact_formula(Z: float, rep: Reparametrization) -> float:
 
 def ground_state_bruteforce(Z: float, L: float, n_max: int = 10) -> Level:
     """Minimum-energy level of the negative-mass table up to n_max (the oracle)."""
-    # never empty: each level collapses at its own integer, so at most one is skipped
     return spectrum_table(Z, L, n_max, mass_sign=-1)[0]
 
 

@@ -21,10 +21,6 @@ class SingularL(PtspecError):
     """Effective angular momentum L is an integer (excluded singular value)."""
 
 
-class SingularCoupling(PtspecError):
-    """Level denominator 2L+1+sigma(2n+1) vanishes (collapse repeated at integer L)."""
-
-
 class UnsupportedGeometry(PtspecError):
     """Contour/mass combination outside the supported classification table."""
 

@@ -13,14 +13,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contour import Contour, StraightLine, UShaped
-from .errors import DomainError, FallToCenter, SingularPoint, UnsupportedGeometry
+from .errors import DomainError, FallToCenter, SingularL, SingularPoint, UnsupportedGeometry
 
 __all__ = [
     "CoulombKratzer",
     "Oscillator",
     "Potential",
     "MassConfig",
-    "AngularMomentum",
     "AsymptoticClassification",
     "StabilityVerdict",
     "DECAYING_PAIR",
@@ -68,19 +67,6 @@ class MassConfig:
 
 
 @dataclass(frozen=True)
-class AngularMomentum:
-    """Physical angular momentum ell and the effective strength L."""
-
-    ell: int
-    L: float
-
-    @property
-    def singular(self) -> bool:
-        """True when L is an integer (integer_L)."""
-        return integer_L(self.L)
-
-
-@dataclass(frozen=True)
 class AsymptoticClassification:
     energy_sign: int
     behavior: str
@@ -103,6 +89,14 @@ def integer_L(L: float) -> bool:
     return collapses(2.0 * L + 1.0 - (2 * round(L) + 1))
 
 
+def check_L(L: float) -> None:
+    """The one check of L: DomainError unless finite, SingularL at integer L (integer_L)."""
+    if not math.isfinite(L):
+        raise DomainError(f"L must be finite, got {L}")
+    if integer_L(L):
+        raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
+
+
 def evaluate_potential(p: Potential, x):
     """Evaluate the potential at complex x (scalar or array).
 
@@ -120,12 +114,12 @@ def evaluate_potential(p: Potential, x):
     return complex(v) if scalar else v
 
 
-def effective_L(ell: int, F: float) -> AngularMomentum:
+def effective_L(ell: int, F: float) -> float:
     """Solve L(L+1) = ell(ell+1) + F on the branch continuously connected to L = ell.
 
     Raises FallToCenter below the collapse threshold (ell + 1/2)^2 + F <= 0.
-    An integer result is returned flagged (``singular``); consumers that
-    cannot handle it raise SingularL/SingularCoupling at their call sites.
+    An integer L is returned as it is: every consumer of L but figure3_data
+    refuses it (check_L).
     """
     if ell < 0 or ell != int(ell):
         raise DomainError(f"ell must be a nonnegative integer, got {ell}")
@@ -134,7 +128,7 @@ def effective_L(ell: int, F: float) -> AngularMomentum:
         raise FallToCenter(
             f"(ell+1/2)^2 + F = {disc} <= 0: no real effective L exists"
         )
-    return AngularMomentum(ell=int(ell), L=-0.5 + math.sqrt(disc))
+    return -0.5 + math.sqrt(disc)
 
 
 def _kinetic_orientation(contour: Contour) -> int:

@@ -49,7 +49,6 @@ from .errors import (
     DomainError,
     FitError,
     GeometryError,
-    SingularL,
     SingularPoint,
     UnsupportedGeometry,
 )
@@ -58,8 +57,8 @@ from .model import (
     MassConfig,
     Oscillator,
     Potential,
+    check_L,
     evaluate_potential,
-    integer_L,
 )
 
 __all__ = [
@@ -315,13 +314,13 @@ def discretize(
     read-only, and within one _search every host operator shares them; only
     the diagonal is formed here.  MassConfig checks the mass sign
     (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
-    contour and SingularL for a Coulomb-Kratzer run at integer L.
+    contour, and model.check_L refuses the L of a Coulomb-Kratzer run, Z != 0.
     """
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
     if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
-        _refuse_integer_L(L)
+        check_L(L)
 
     x, kinetic, sub, sup = _per_solve(
         (contour, grid, mass_sign), lambda: _geometry(contour, mass_sign, grid)
@@ -333,12 +332,6 @@ def discretize(
             raise SingularPoint("centrifugal term evaluated at x = 0")
         coeff = coeff + lam / (x * x)
     return DiscretizedOperator(diag=mass_sign * (kinetic + coeff), sub=sub, sup=sup)
-
-
-def _refuse_integer_L(L: float) -> None:
-    """SingularL at integer L (model.integer_L), where one closed-form level collapses."""
-    if integer_L(L):
-        raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
 
 
 def _geometry(contour: Contour, mass_sign: int, grid: GridSpec) -> tuple:
@@ -714,7 +707,6 @@ def auto_box(Z: float, L: float, n_max: int) -> float:
     A search whose reach g(T) (aligned_grid) falls below S is refused
     (find_bound_states), so the seeding rule in _seeds admits each of them.
     """
-    _refuse_integer_L(L)
     table = analytic.spectrum_table(Z, L, n_max, mass_sign=-1)
     return max([MIN_AUTO_BOX] + [MIN_DECAY_LENGTHS / lv.kappa for lv in table if lv.kappa > 0])
 
@@ -742,7 +734,6 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
             "bound-state search supports the negative-mass Coulomb-Kratzer model "
             "on the U path and the oscillator benchmark only"
         )
-    _refuse_integer_L(L)
     return [
         (lv, CoulombKratzer(Z=_host_coupling(p.Z, L, lv)))
         for lv in analytic.spectrum_table(p.Z, L, n_max, mass_sign=-1)
@@ -853,6 +844,8 @@ def find_bound_states(
     attached.  order_estimate is an order of convergence only where every
     level's error shrinks as a power of h; it is not a Richardson estimate.
     """
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
     if isinstance(problem.contour, UShaped) and not grid.stretched:
         aligned = aligned_grid(problem.contour, grid)
         if aligned.reach < grid.S:

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptspec.analytic import (
@@ -15,7 +15,8 @@ from ptspec.analytic import (
     level,
     spectrum_table,
 )
-from ptspec.errors import DomainError, SingularCoupling
+from ptspec.errors import DomainError, SingularL
+from ptspec.model import integer_L
 
 
 def test_level_deep_negative_mass():
@@ -34,9 +35,10 @@ def test_level_positive_mass_mirror():
 
 
 def test_level_singular_coupling():
-    # 2L+1 = 3 collides with sigma=-1, n=1
-    with pytest.raises(SingularCoupling):
-        level(Z=1.0, L=1.0, n=1, sigma=-1, mass_sign=-1)
+    # 2L+1 = 3 collides with sigma=-1, n=1; every other level at L = 1 is refused too
+    for n, sigma in [(1, -1), (0, -1), (0, 1), (4, 1)]:
+        with pytest.raises(SingularL):
+            level(Z=1.0, L=1.0, n=n, sigma=sigma, mass_sign=-1)
 
 
 @pytest.mark.parametrize("mass_sign", [0, 2])
@@ -67,12 +69,13 @@ def test_spectrum_table_accumulates_at_zero():
     assert all(lv.energy < 0 for lv in table)
 
 
-def test_spectrum_table_singular_entries_skipped_with_warning():
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        table = spectrum_table(Z=1.0, L=1.0, n_max=2, mass_sign=-1)
-    assert any("singular" in str(w.message) for w in caught)
-    assert len(table) == 5  # six (n, sigma) pairs minus the singular one
+def test_spectrum_table_refuses_integer_L():
+    # refused whether or not the collapsing level lies within n_max, with no warning first
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for L, n_max in [(1.0, 2), (5.0, 1)]:
+            with pytest.raises(SingularL, match="integer L"):
+                spectrum_table(Z=1.0, L=L, n_max=n_max, mass_sign=-1)
 
 
 def test_spectrum_table_z_scaling():
@@ -113,7 +116,12 @@ def test_branches_distinct_for_generic_L():
     sigma=st.sampled_from([1, -1]),
 )
 @settings(max_examples=400, deadline=None)
+@example(Z=1.0, L=0.0, n=2, sigma=1)  # integer L, though this level does not collapse
 def test_sign_split_property(Z, L, n, sigma):
+    if integer_L(L):
+        with pytest.raises(SingularL):
+            level(Z, L, n, sigma, mass_sign=-1)
+        return
     den = 2 * L + 1 + sigma * (2 * n + 1)
     assume(abs(den) > 1e-6)
     assume(abs(Z) > 1e-8)

@@ -138,15 +138,18 @@ class TestSpectrumNumeric:
         assert "auto" in err
 
     @pytest.mark.parametrize("argv, reason", [
-        (("--L", "1.0000000000007", "--N", "400"), "integer L"),
-        (("--L", "1.0000000000004", "--N", "400"), "integer L"),
-        (("--L", "0.3", "--epsilon", "0.001"), "reach g(T)"),
+        (("spectrum", "numeric", "--Z", "1", "--L", "1.0000000000007", "--N", "400"), "integer L"),
+        (("spectrum", "numeric", "--Z", "1", "--L", "1.0000000000004", "--N", "400"), "integer L"),
+        (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--epsilon", "0.001"), "reach g(T)"),
+        (("spectrum", "analytic", "--Z", "1", "--L", "1", "--nmax", "1"), "integer L"),
+        (("solve", "oscillator", "--nmax", "-1"), "n_max must be >= 0"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
-        # a collapsed L and a reach below S: exit 1, one line, no warning before it
+        # a collapsed L, a reach below S and a negative n_max, in the search and
+        # the closed form alike: exit 1, one line, no warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            code, out, err = run_cli(capsys, "spectrum", "numeric", "--Z", "1", *argv)
+            code, out, err = run_cli(capsys, *argv)
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err

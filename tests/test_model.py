@@ -19,6 +19,7 @@ from ptspec.model import (
     classify_asymptotics,
     effective_L,
     evaluate_potential,
+    integer_L,
     stability_verdict,
 )
 
@@ -55,19 +56,19 @@ class TestPotential:
 
 class TestEffectiveL:
     def test_free_centrifugal_flagged(self):
-        am = effective_L(0, 0.0)
-        assert am.L == pytest.approx(0.0, abs=1e-15)
-        assert am.singular
+        L = effective_L(0, 0.0)
+        assert L == pytest.approx(0.0, abs=1e-15)
+        assert integer_L(L)
 
     def test_kratzer_two_flagged(self):
-        am = effective_L(0, 2.0)
-        assert am.L == pytest.approx(1.0)
-        assert am.singular
+        L = effective_L(0, 2.0)
+        assert L == pytest.approx(1.0)
+        assert integer_L(L)
 
     def test_valid_half(self):
-        am = effective_L(0, 0.75)
-        assert am.L == pytest.approx(0.5)
-        assert not am.singular
+        L = effective_L(0, 0.75)
+        assert L == pytest.approx(0.5)
+        assert not integer_L(L)
 
     def test_fall_to_center(self):
         with pytest.raises(FallToCenter):
@@ -79,8 +80,7 @@ class TestEffectiveL:
     @settings(max_examples=300, deadline=None)
     def test_inverse_of_strength_map(self, L, ell):
         F = L * (L + 1) - ell * (ell + 1)
-        am = effective_L(ell, F)
-        assert am.L == pytest.approx(L, rel=1e-9, abs=1e-9)
+        assert effective_L(ell, F) == pytest.approx(L, rel=1e-9, abs=1e-9)
 
 
 class TestMassConfig:

@@ -13,7 +13,6 @@ from ptspec.errors import (
     DomainError,
     FitError,
     GeometryError,
-    SingularCoupling,
     SingularL,
     UnsupportedGeometry,
 )
@@ -188,7 +187,7 @@ class TestDiscretize:
             (StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(10.0, 800)),
             (StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(6.0, 201, stretched=True)),
             # the Kratzer term F = 0.5 at ell = 0, carried by L
-            (UShaped(0.5), CoulombKratzer(1.0), effective_L(0, 0.5).L, -1, GridSpec(15.0, 400)),
+            (UShaped(0.5), CoulombKratzer(1.0), effective_L(0, 0.5), -1, GridSpec(15.0, 400)),
         ],
         ids=["oscillator", "stretched oscillator", "kratzer term"],
     )
@@ -712,6 +711,13 @@ class TestFindBoundStates:
         keys = {(m.level.n, m.level.sigma) for m in res.matched}
         assert keys == {(0, -1), (0, 1)}
 
+    @pytest.mark.parametrize(
+        "problem", [oscillator_problem(), ck_problem()], ids=["oscillator", "coulomb-kratzer"]
+    )
+    def test_negative_n_max_refused(self, problem):
+        with pytest.raises(DomainError, match=r"n_max must be >= 0, got -1"):
+            find_bound_states(problem, GridSpec(10.0, 64), n_max=-1)
+
     def test_zero_coupling_empty(self):
         res = find_bound_states(ck_problem(Z=0.0), GridSpec(15.0, 100), n_max=3)
         assert res.levels == [] and res.matched == [] and res.unmatched == []
@@ -884,16 +890,13 @@ class TestOneCollapseRule:
                 return True
             return False
 
-        am = effective_L(0, L * (L + 1.0))
-        assert am.L == pytest.approx(L, abs=1e-15)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # spectrum_table warns as it skips
-            table = spectrum_table(1.0, L, 2, -1)
+        L_eff = effective_L(0, L * (L + 1.0))
+        assert L_eff == pytest.approx(L, abs=1e-15)
         rows = figure3_data(1.0, [t], n_max=2)
         return {
-            "effective_L": am.singular,
-            "level": refuses(lambda: level(1.0, L, 1, -1, -1), SingularCoupling),
-            "spectrum_table": (1, -1) not in {(lv.n, lv.sigma) for lv in table},
+            "effective_L": integer_L(L_eff),
+            "level": refuses(lambda: level(1.0, L, 1, -1, -1), SingularL),
+            "spectrum_table": refuses(lambda: spectrum_table(1.0, L, 2, -1), SingularL),
             "figure3_data": any(
                 (r.n, r.sigma) == (1, -1) and r.minus_kappa is None for r in rows
             ),
@@ -919,27 +922,41 @@ class TestOneCollapseRule:
         assert not any(got.values()), got
 
     def test_window_edges_agree(self):
-        # integer L forms the collapsing level's denominator as the closed form
+        # integer L forms the collapsing level's denominator as figure3's gap
         # does, so the two agree even within one rounding of 2L+1 of the edge
         for k in (-2, -1, 0, 1, 2):
             n, sigma = (k, -1) if k >= 0 else (-k - 1, 1)
             for L in [k + d + j * 2e-17 for d in (-1e-12, 1e-12) for j in range(-20, 21)]:
-                try:
-                    level(1.0, L, n, sigma, -1)
-                except SingularCoupling:
-                    assert integer_L(L), L
-                else:
-                    assert not integer_L(L), L
+                rows = figure3_data(1.0, [2.0 * L + 1.0], n_max=n)
+                gap = [r.minus_kappa is None for r in rows if (r.n, r.sigma) == (n, sigma)]
+                assert gap == [integer_L(L)], L
 
     @pytest.mark.parametrize("Z, L", [(1.0, 1.0 + 4e-13), (1.0, 1.0 + 7e-13), (0.0, 1.0)])
     def test_search_refuses_before_any_level_table(self, Z, L):
-        # one SingularL, and no RuntimeWarning from a level table before it
+        # one SingularL at any Z, and no warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(SingularL):
                 auto_box(Z, L, 2)
             with pytest.raises(SingularL):
                 find_bound_states(ck_problem(Z=Z, L=L), GridSpec(15.0, 400), n_max=2)
+
+
+@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda L: level(1.0, L, 0, 1, -1),
+        lambda L: spectrum_table(1.0, L, 1, -1),
+        lambda L: auto_box(1.0, L, 2),
+        lambda L: discretize(UShaped(1.0), CoulombKratzer(1.0), L, -1, GridSpec(10.0, 64)),
+        lambda L: find_bound_states(ck_problem(L=L), GridSpec(15.0, 400), n_max=2),
+    ],
+    ids=["level", "spectrum_table", "auto_box", "discretize", "find_bound_states"],
+)
+def test_non_finite_L_is_a_domain_error(call, L):
+    with pytest.raises(DomainError, match="L must be finite"):
+        call(L)
 
 
 def _keys(levels) -> set:
