@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .model import MassConfig, check_L, collapses
+from .model import MassConfig, check_L, check_n_max, collapses
 
 __all__ = [
     "Level",
@@ -105,8 +105,7 @@ def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level
 
     Raises SingularL at integer L (level), for every n_max.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_n_max(n_max)
     levels = [level(Z, L, n, sigma, mass_sign) for n in range(n_max + 1) for sigma in (1, -1)]
     levels.sort(key=lambda lv: (lv.energy, lv.n, lv.sigma))
     return levels
@@ -118,13 +117,14 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
     Emits one row per (grid point, n, sigma) in input order.  Where the level
     collapses (model.collapses, by which level refuses integer L), the row is
     an explicit gap record (minus_kappa None), so the collapse asymptotes stay
-    visible in the output.
+    visible in the output.  A non-finite 2L+1 raises DomainError.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_n_max(n_max)
     rows = []
     for t in grid_of_2Lp1:
         t = float(t)
+        if not math.isfinite(t):
+            raise DomainError(f"2L+1 must be finite, got {t}")
         for n in range(n_max + 1):
             for sigma in (1, -1):
                 ratio = _ratio(Z, t, n, sigma)

@@ -8,6 +8,7 @@ package are reported in these units.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -95,6 +96,14 @@ def check_L(L: float) -> None:
         raise DomainError(f"L must be finite, got {L}")
     if integer_L(L):
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
+
+
+def check_n_max(n_max: int) -> None:
+    """The one check of n_max: DomainError unless an int >= 0, bool refused (as GridSpec's N)."""
+    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
+        raise DomainError(f"n_max must be an integer, got {n_max!r}")
+    if n_max < 0:
+        raise DomainError(f"n_max must be >= 0, got {n_max}")
 
 
 def evaluate_potential(p: Potential, x):

@@ -58,6 +58,7 @@ from .model import (
     Oscillator,
     Potential,
     check_L,
+    check_n_max,
     evaluate_potential,
 )
 
@@ -252,23 +253,6 @@ class DiscretizedOperator:
         rows[:-1] += np.abs(self.sup)
         return float(rows.max())
 
-    @cached_property
-    def start_vector(self) -> np.ndarray:
-        """Unit inverse-iteration start vector (_start_vector), read-only.
-
-        Cached like norm_inf: every search on this operator starts from a
-        copy of it.  Within one _search every operator of this size holds the
-        same array (_sharing).
-        """
-
-        def unit() -> np.ndarray:
-            v = _start_vector(self.size)
-            v /= np.linalg.norm(v)
-            v.flags.writeable = False
-            return v
-
-        return _per_solve(self.size, unit)
-
     def pt_defect(self) -> float:
         """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
         d = np.max(np.abs(self.diag - np.conj(self.diag[::-1])))
@@ -314,12 +298,13 @@ def discretize(
     read-only, and within one _search every host operator shares them; only
     the diagonal is formed here.  MassConfig checks the mass sign
     (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
-    contour, and model.check_L refuses the L of a Coulomb-Kratzer run, Z != 0.
+    contour.  model.check_L refuses a non-finite L, and an integer L only in a
+    Coulomb-Kratzer run, Z != 0: the oscillator benchmark runs at L = 0.
     """
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
-    if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
+    if not math.isfinite(L) or (isinstance(potential, CoulombKratzer) and potential.Z != 0.0):
         check_L(L)
 
     x, kinetic, sub, sup = _per_solve(
@@ -395,15 +380,13 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
 
     A PT-symmetric operator (pt_defect() == 0, as every discretize output
     is) is folded into real arithmetic first (_fold, after A. Lee, Linear
-    Algebra Appl. 29, 205, 1980): a real operator splits into its two
-    parity halves, each of size about N/2, and a complex one becomes one
-    real matrix of size N, whose real Hessenberg QR returns the eigenvalues
-    in exact conjugate pairs.  A real half takes the tridiagonal QL/QR fast
-    path when it is symmetric, and LAPACK's dense Hessenberg QR routine
-    otherwise (the matrix already is Hessenberg).  A non-PT operator gets
-    complex QR of to_dense().  Every route inherits LAPACK's 30*N sweep
-    budget; exceeding it raises ConvergenceFailure.  Sizes above
-    DENSE_CEILING raise DomainError.
+    Algebra Appl. 29, 205, 1980): a real operator whose two parity halves
+    are symmetric takes the tridiagonal QL/QR fast path on each half, of
+    size about N/2, and every other one becomes one real matrix of size N,
+    whose real Hessenberg QR returns the eigenvalues in exact conjugate
+    pairs.  A non-PT operator gets complex QR of to_dense().  Every route
+    inherits LAPACK's 30*N sweep budget; exceeding it raises
+    ConvergenceFailure.  Sizes above DENSE_CEILING raise DomainError.
     """
     n = op.size
     if n > DENSE_CEILING:
@@ -416,24 +399,20 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     try:
         if op.pt_defect() != 0.0:
             vals = scipy.linalg.eigvals(op.to_dense(), overwrite_a=True)
-        elif all(np.all(band.imag == 0.0) for band in (op.diag, op.sub, op.sup)):
-            vals = np.concatenate(
-                [_band_eigenvalues(*(b.real for b in half)) for half in _fold(op)]
-            )
         else:
-            vals = scipy.linalg.eigvals(_folded_matrix(*_fold(op)), overwrite_a=True)
+            halves = _fold(op)
+            if all(
+                np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
+                for diag, sub, sup in halves
+            ):
+                vals = np.concatenate(
+                    [scipy.linalg.eigvalsh_tridiagonal(d.real, e.real) for d, e, _ in halves]
+                ).astype(complex)
+            else:
+                vals = scipy.linalg.eigvals(_folded_matrix(*halves), overwrite_a=True)
     except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
         raise ConvergenceFailure(f"dense QR iteration failed: {exc}") from exc
     return vals[np.lexsort((vals.imag, vals.real))]
-
-
-def _band_eigenvalues(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
-    """Unsorted eigenvalues of one real tridiagonal band set (see full_spectrum)."""
-    import scipy.linalg  # deferred: see full_spectrum
-
-    if np.array_equal(sub, sup):
-        return scipy.linalg.eigvalsh_tridiagonal(diag, sub).astype(complex)
-    return scipy.linalg.eigvals(_dense(diag, sub, sup), overwrite_a=True)
 
 
 def _fold(op: DiscretizedOperator) -> tuple:
@@ -537,15 +516,23 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
 
 
 def _start_vector(n: int) -> np.ndarray:
-    """Complex Gaussian start vector from the fixed seed: runs repeat bitwise.
+    """Unit complex Gaussian start vector from the fixed seed, read-only: runs repeat bitwise.
 
-    The real parts are drawn before the imaginary parts.
+    The real parts are drawn before the imaginary parts.  Within one _search
+    every operator of size n gets the same array (_per_solve); outside one,
+    each call draws afresh.
     """
-    rng = np.random.default_rng(_START_SEED)
-    v = np.empty(n, dtype=complex)
-    v.real = rng.standard_normal(n)
-    v.imag = rng.standard_normal(n)
-    return v
+
+    def draw() -> np.ndarray:
+        rng = np.random.default_rng(_START_SEED)
+        v = np.empty(n, dtype=complex)
+        v.real = rng.standard_normal(n)
+        v.imag = rng.standard_normal(n)
+        v /= np.linalg.norm(v)
+        v.flags.writeable = False
+        return v
+
+    return _per_solve(n, draw)
 
 
 def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
@@ -572,8 +559,8 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     norm and its first significant component is made real positive, which
     pins the overall phase across repeated runs.
 
-    Every search on one operator starts from a copy of op.start_vector, so a
-    result depends only on the operator and the shift.  A step allocates
+    Every search starts from a copy of _start_vector(N), so a result depends
+    only on the operator and the shift.  A step allocates
     nothing of size N: the solve works in the iterate's storage, op v and
     op v - lambda v go into two buffers made once per search, each 2-norm
     is sqrt(re.re + im.im), the sum np.linalg.norm forms, and the iterate
@@ -585,7 +572,7 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     # at the first step's _residual_bound its temporaries would add to them
     op.norm_inf
     shift, solve = _shifted_solver(op, shift)
-    v = op.start_vector.copy()
+    v = _start_vector(n).copy()
     hv = np.empty(n, dtype=complex)  # op v, then op v - lambda v
     work = np.empty(n, dtype=complex)  # off-diagonal products, then lambda v
     lam = complex(shift)
@@ -789,7 +776,7 @@ def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     search, and they share one path geometry (_geometry), which is dropped
     once they are built: all that the hosts keep of it is its read-only
     off-diagonal bands.  Every search starts from one read-only start vector
-    (DiscretizedOperator.start_vector).  Nothing shared outlives the call.
+    (_start_vector).  Nothing shared outlives the call.
     A seed's search depends only on its host and its shift, so the results
     are those of one discretize and one search per seed.
     """
@@ -844,8 +831,7 @@ def find_bound_states(
     attached.  order_estimate is an order of convergence only where every
     level's error shrinks as a power of h; it is not a Richardson estimate.
     """
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
+    check_n_max(n_max)
     if isinstance(problem.contour, UShaped) and not grid.stretched:
         aligned = aligned_grid(problem.contour, grid)
         if aligned.reach < grid.S:
@@ -892,15 +878,15 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
     A Krylov space and not block inverse iteration, because the edge is a
     band edge: its eigenvalues lie ~1/S^2 apart while the shift can sit O(1)
     to their left, where inverse iteration separates them at a rate near 1
-    and runs into its cap.  The Ritz pair of least real part is accepted
-    when its residual meets targeted_eigenvalue's rule (_residual_bound).
+    and runs into its cap.  Arnoldi starts from targeted_eigenvalue's start
+    vector (_start_vector), which ARPACK copies.  The Ritz pair of least real
+    part is accepted when its residual meets targeted_eigenvalue's rule
+    (_residual_bound).
     """
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = op.size
     shift, solve = _shifted_solver(op, -op.norm_inf)
-    # v0 is the raw draw: op.start_vector, scaled to unit norm, would start
-    # ARPACK on other rounding and move the probe's bits
     # ARPACK hands matvec a view of its workspace, which solve must not overwrite
     inverse = LinearOperator((n, n), matvec=lambda x: solve(x.copy()), dtype=complex)
     try:

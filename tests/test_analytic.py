@@ -157,6 +157,12 @@ class TestFigure3:
             if (r.two_L_plus_1, r.n, r.sigma) not in gaps
         )
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+    def test_non_finite_2L_plus_1_refused(self, t):
+        # neither a value nor a gap record: refused, naming the value
+        with pytest.raises(DomainError, match=f"2L\\+1 must be finite, got {t}"):
+            figure3_data(1.0, [1.5, t], 0)
+
     def test_rows_in_input_order(self):
         ts = [2.5, 0.7, 4.1]
         rows = figure3_data(1.0, ts, n_max=1)

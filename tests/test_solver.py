@@ -444,7 +444,9 @@ class TestFullSpectrum:
         for op in ops:
             assert op.pt_defect() == 0.0
             assert full_spectrum(op).shape == (op.size,)
-        assert dtypes == [np.dtype(float)] * 3  # one fold, then the two halves
+        # the A5 grid's fold and the stretched oscillator's, whose halves are
+        # not symmetric; the plain oscillator's symmetric halves take no eigvals
+        assert dtypes == [np.dtype(float)] * 2
 
     def test_ceiling_enforced(self):
         def zeros(n):
@@ -497,12 +499,14 @@ class TestFold:
 
     @pytest.mark.parametrize("N", [2, 3, 16])
     def test_complex_operators_give_exact_conjugate_pairs(self, N):
+        # a real operator with sub != sup (from N = 3) takes the same fold and real QR
         import scipy.linalg
 
-        op = _pt_operator(N, np.random.default_rng(7), real=False)
-        vals = full_spectrum(op)
-        assert _pairing_distance(vals, scipy.linalg.eigvals(op.to_dense())) <= 1e-12
-        np.testing.assert_array_equal(np.sort_complex(vals.conj()), vals)
+        for real in (False, True):
+            op = _pt_operator(N, np.random.default_rng(7), real)
+            vals = full_spectrum(op)
+            assert _pairing_distance(vals, scipy.linalg.eigvals(op.to_dense())) <= 1e-12
+            np.testing.assert_array_equal(np.sort_complex(vals.conj()), vals)
 
 
 class TestTargeted:
@@ -536,18 +540,21 @@ class TestTargeted:
 
     def test_repeat_runs_bit_identical(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
-        a = targeted_eigenvalue(op, DEEP)
-        start = op.start_vector.copy()
-        b = targeted_eigenvalue(op, DEEP)
+        with solver._sharing():  # both searches start from this one array
+            start = solver._start_vector(op.size)
+            before = start.copy()
+            a = targeted_eigenvalue(op, DEEP)
+            b = targeted_eigenvalue(op, DEEP)
+        assert not start.flags.writeable
         assert (a.eigenvalue, a.iterations, a.residual) == (b.eigenvalue, b.iterations, b.residual)
         np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
-        np.testing.assert_array_equal(op.start_vector, start)
+        np.testing.assert_array_equal(start, before)
         # the LAPACK wrapper's overwrite_b ignores the read-only flag, so the
         # solve checks it: a stray in-place solve of the start vector raises
         _, solve = _shifted_solver(op, DEEP)
         with pytest.raises(ValueError, match="read-only"):
-            solve(op.start_vector)
-        np.testing.assert_array_equal(op.start_vector, start)
+            solve(start)
+        np.testing.assert_array_equal(start, before)
 
     @pytest.mark.parametrize("case", ["A1 deep level", "oscillator", "iteration cap"])
     def test_same_bits_as_plain_loop(self, case):
@@ -822,18 +829,25 @@ class TestFindBoundStates:
         assert find_bound_states(problem, GridSpec(30.0, 2000), 2).levels == expected
 
     def test_hosts_share_one_geometry_and_start_vector(self, monkeypatch):
-        real = solver.targeted_eigenvalue
-        searched = {}
+        real, draw = solver.targeted_eigenvalue, solver._start_vector
+        searched, starts = {}, []
 
         def record(op, shift):
             searched[id(op)] = op
             return real(op, shift)
 
+        def record_start(n):
+            starts.append(draw(n))
+            return starts[-1]
+
         monkeypatch.setattr(solver, "targeted_eigenvalue", record)
+        monkeypatch.setattr(solver, "_start_vector", record_start)
         find_bound_states(ck_problem(L=1.3), GridSpec(30.0, 2000), 2)
         a, b = searched.values()  # one operator per coupling-sign host
         assert a.sub is b.sub and a.sup is b.sup
-        assert a.start_vector is b.start_vector and not a.start_vector.flags.writeable
+        # every search of both hosts starts from one read-only array
+        assert len(starts) > len(searched)
+        assert all(v is starts[0] for v in starts) and not starts[0].flags.writeable
         assert solver._SHARED.get() is None  # nothing shared outlives the call
 
     def test_two_grid_keeps_fine_run(self):
@@ -951,12 +965,38 @@ class TestOneCollapseRule:
         lambda L: auto_box(1.0, L, 2),
         lambda L: discretize(UShaped(1.0), CoulombKratzer(1.0), L, -1, GridSpec(10.0, 64)),
         lambda L: find_bound_states(ck_problem(L=L), GridSpec(15.0, 400), n_max=2),
+        lambda L: discretize(StraightLine(0.0), Oscillator(), L, 1, GridSpec(10.0, 64)),
+        lambda L: discretize(UShaped(1.0), CoulombKratzer(0.0), L, -1, GridSpec(10.0, 64)),
     ],
-    ids=["level", "spectrum_table", "auto_box", "discretize", "find_bound_states"],
+    ids=[
+        "level", "spectrum_table", "auto_box", "discretize", "find_bound_states",
+        "discretize_oscillator", "discretize_zero_coupling",
+    ],
 )
 def test_non_finite_L_is_a_domain_error(call, L):
-    with pytest.raises(DomainError, match="L must be finite"):
-        call(L)
+    # refused for every potential, before any NaN band or numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="L must be finite"):
+            call(L)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: spectrum_table(1.0, 0.3, n, -1),
+        lambda n: figure3_data(1.0, [1.6], n),
+        lambda n: find_bound_states(oscillator_problem(), GridSpec(10.0, 64), n),
+    ],
+    ids=["spectrum_table", "figure3_data", "find_bound_states"],
+)
+def test_n_max_checked_once(call):
+    with pytest.raises(DomainError, match=r"n_max must be >= 0, got -1"):
+        call(-1)
+    for bad in (1.5, 2.0, True, "2"):
+        with pytest.raises(DomainError, match=r"n_max must be an integer, got "):
+            call(bad)
+    call(np.int64(1))  # numpy integers are integers
 
 
 def _keys(levels) -> set:
@@ -1127,16 +1167,17 @@ class TestInstabilityProbeEdge:
         starts = []
 
         def record(*args, v0, **kwargs):
-            starts.append((v0.flags.writeable, v0.copy()))
+            starts.append((v0, v0.copy()))
             return real(*args, v0=v0, **kwargs)
 
         monkeypatch.setattr(scipy.sparse.linalg, "eigs", record)
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, 1, GridSpec(8.0, 299))
         _spectral_edge(op)
-        ((writeable, v0),) = starts
-        # unnormalized and writable, unlike op.start_vector
-        assert writeable
-        assert v0.tobytes() == solver._start_vector(op.size).tobytes()
+        ((v0, given),) = starts
+        # the read-only unit start vector, which ARPACK copies and leaves as it was
+        assert not v0.flags.writeable
+        assert v0.tobytes() == given.tobytes() == solver._start_vector(op.size).tobytes()
+        assert np.linalg.norm(v0) == pytest.approx(1.0, rel=1e-15)
 
     def test_shift_on_an_eigenvalue_is_nudged_off(self):
         # diagonal operator: the Gershgorin shift -||op||_inf = -1 is itself an eigenvalue
