@@ -14,9 +14,7 @@ import math
 import sys
 from typing import Callable, NamedTuple
 
-import numpy as np
-
-from . import analytic, solver
+from . import analytic
 from .contour import StraightLine, UShaped, derivatives, evaluate
 from .errors import ConvergenceFailure, PtspecError
 from .model import CoulombKratzer, MassConfig, stability_verdict
@@ -73,6 +71,8 @@ def _run_contour_sample(p: dict) -> str:
         raise UsageError(f"n must be >= 1, got {p['n']}")
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
+    import numpy as np  # deferred: the other closed-form commands start without numpy
+
     s = np.linspace(p["smin"], p["smax"], p["n"])
     x = evaluate(contour, s)
     dx = derivatives(contour, s)
@@ -89,8 +89,10 @@ def _run_spectrum_analytic(p: dict) -> str:
     return _table(p["format"], "levels", ("n", "sigma", "energy", "kappa"), rows)
 
 
-def _solve(problem: solver.BoundStateProblem, S: float, p: dict) -> str:
+def _solve(problem, S: float, p: dict) -> str:
     """Run the bound-state search; levels are emitted in closed-form energy order."""
+    from . import solver  # deferred, in each solving runner: numpy and scipy load here
+
     grid = solver.GridSpec(S=S, N=p["N"])
     result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])
     rows = []
@@ -105,6 +107,8 @@ def _solve(problem: solver.BoundStateProblem, S: float, p: dict) -> str:
 
 
 def _run_spectrum_numeric(p: dict) -> str:
+    from . import solver
+
     S = p["S"]
     if S == "auto":
         S = solver.auto_box(p["Z"], p["L"], p["nmax"])
@@ -117,17 +121,28 @@ def _run_spectrum_numeric(p: dict) -> str:
     return _solve(problem, S, p)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n) for n >= 2, bit for bit, without loading numpy."""
+    delta = hi - lo
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal step underflows: numpy scales by i/(n-1) first
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
 def _run_figure3(p: dict) -> str:
     if p["grid_n"] < 2:
         raise UsageError(f"grid_n must be >= 2, got {p['grid_n']}")
     if not 0 < p["grid_min"] < p["grid_max"]:
         raise UsageError("require 0 < grid_min < grid_max")
-    base = np.linspace(p["grid_min"], p["grid_max"], p["grid_n"])
-    # keep the collapse points visible: splice in every interior odd integer
-    first = math.floor(p["grid_min"]) + 1
-    first += 1 - first % 2
-    odd = [float(t) for t in range(first, math.ceil(p["grid_max"]), 2)]
-    ts = sorted(set(float(t) for t in base) | set(odd))
+    base = _linspace(p["grid_min"], p["grid_max"], p["grid_n"])
+    # keep the collapse points visible: splice in each 2n+1, n <= nmax, inside
+    # the sweep, where the level (n, -1) has a vanishing denominator
+    collapse = (float(2 * n + 1) for n in range(p["nmax"] + 1))
+    ts = sorted(set(base).union(t for t in collapse if p["grid_min"] < t < p["grid_max"]))
     rows = (
         (r.two_L_plus_1, r.n, r.sigma, r.minus_kappa)
         for r in analytic.figure3_data(p["Z"], ts, p["nmax"])
@@ -146,6 +161,8 @@ def _run_stability(p: dict) -> str:
 
 
 def _run_solve_oscillator(p: dict) -> str:
+    from . import solver
+
     return _solve(solver.oscillator_problem(), p["S"], p)
 
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .errors import DomainError
 
 __all__ = [
@@ -63,12 +61,16 @@ Contour = StraightLine | UShaped
 
 
 def _as_array(s):
+    import numpy as np  # deferred: import ptspec loads no numpy
+
     arr = np.asarray(s, dtype=float)
     return arr, arr.ndim == 0
 
 
-def _path(contour: Contour, arr: np.ndarray):
-    """Branchwise analytic (x, x') at the real parameters arr; see derivatives."""
+def _path(contour: Contour, arr):
+    """Branchwise analytic (x, x') at the real parameters arr (an array); see derivatives."""
+    import numpy as np  # deferred: see _as_array
+
     if isinstance(contour, StraightLine):
         xp = np.where(arr >= 0, np.exp(1j * contour.phi), np.exp(-1j * contour.phi))
         return arr * xp, xp
@@ -117,6 +119,8 @@ def derivatives(contour: Contour, s):
 
 def pt_residual(contour: Contour, s):
     """|x(-s) + x*(s)|, zero exactly when the path is PT symmetric at s."""
+    import numpy as np  # deferred: see _as_array
+
     arr, scalar = _as_array(s)
     r = np.abs(evaluate(contour, -arr) + np.conj(evaluate(contour, arr)))
     return float(r) if scalar else r

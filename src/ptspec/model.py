@@ -11,8 +11,6 @@ import math
 import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
 from .contour import Contour, StraightLine, UShaped
 from .errors import DomainError, FallToCenter, SingularL, SingularPoint, UnsupportedGeometry
 
@@ -112,6 +110,8 @@ def evaluate_potential(p: Potential, x):
     Raises SingularPoint at x = 0 for the Coulomb-Kratzer potential.  Both
     potentials are rational, so no branch choice enters.
     """
+    import numpy as np  # deferred: import ptspec loads no numpy
+
     arr = np.asarray(x, dtype=complex)
     scalar = arr.ndim == 0
     if isinstance(p, CoulombKratzer):

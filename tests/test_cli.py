@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import textwrap
@@ -8,8 +9,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from ptspec.cli import main
+from ptspec.cli import _linspace, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -183,23 +186,39 @@ class TestFigure3:
         assert table[(1.6, 0, -1)] == pytest.approx(-1 / 0.6, rel=1e-12)
         assert table[(2.0, 0, 1)] == pytest.approx(-1 / 3, rel=1e-12)
 
-    def test_odd_integers_spliced_far_from_one(self, capsys):
-        # the splice walks only the odd integers inside (grid_min, grid_max),
-        # so a sweep near 2L+1 = 1e12 costs what one near 1 does
+    @staticmethod
+    def _sweep(out):
+        return sorted({float(line.split(",")[0]) for line in out.strip().split("\n")[1:]})
+
+    def test_only_collapse_points_of_the_table_spliced(self, capsys):
+        # the splice adds each 2n+1, n <= nmax, inside (grid_min, grid_max):
+        # 9 = 2*4+1 lies beyond nmax = 3, and 1 below grid_min
+        _, out, _ = run_cli(
+            capsys, "figure3", "--grid-min", "2", "--grid-max", "12", "--grid-n", "2",
+            "--nmax", "3",
+        )
+        assert self._sweep(out) == [2.0, 3.0, 5.0, 7.0, 12.0]
+        # far from one no level collapses, so nothing is spliced
         code, out, _ = run_cli(
             capsys, "figure3", "--grid-min", "1e12", "--grid-max", "1000000000004",
             "--grid-n", "2", "--nmax", "0",
         )
         assert code == 0
-        table = {}
-        for line in out.strip().split("\n")[1:]:
-            t, n, sigma, mk = line.split(",")
-            table[(int(float(t)), int(n), int(sigma))] = float(mk)
-        ts = sorted({t for t, _, _ in table})
-        assert ts == [10**12, 10**12 + 1, 10**12 + 3, 10**12 + 4]
-        for t in (10**12 + 1, 10**12 + 3):
-            assert table[(t, 0, 1)] == pytest.approx(-1 / (t + 1), rel=1e-12)
-            assert table[(t, 0, -1)] == pytest.approx(-1 / (t - 1), rel=1e-12)
+        assert self._sweep(out) == [1e12, 1e12 + 4]
+
+    def test_widest_sweep_ends_at_once(self):
+        # a splice of every odd integer below 1e308 would never end; the memory
+        # cap turns such a walk into a quick failure, not a hang
+        def cap_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        argv = ["figure3", "--grid-min", "0.05", "--grid-max", "1e308", "--grid-n", "3"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "ptspec.cli", *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
+            capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert self._sweep(proc.stdout) == [0.05, 1.0, 3.0, 5.0, 7.0, 9.0, 5e307, 1e308]
 
     def test_json_gap_is_null(self, capsys):
         _, out, _ = run_cli(
@@ -209,6 +228,24 @@ class TestFigure3:
         rows = json.loads(out)["rows"]
         gap = [r for r in rows if r["two_L_plus_1"] == 1.0 and r["sigma"] == -1]
         assert gap and gap[0]["minus_kappa"] is None
+
+
+_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True)
+
+
+@given(lo=_POSITIVE, hi=_POSITIVE, n=st.integers(2, 2000))
+@example(lo=5e-324, hi=1e-322, n=100)  # the step underflows to 0
+@example(lo=0.05, hi=1e308, n=3)
+@example(lo=0.05, hi=6.0, n=400)
+@settings(max_examples=500, deadline=None)
+def test_figure3_grid_is_numpy_linspace_bit_for_bit(lo, hi, n):
+    assume(lo != hi)
+    lo, hi = min(lo, hi), max(lo, hi)
+    with np.errstate(over="ignore"):  # near the top of the range (n-1)*step rounds to inf
+        want = np.linspace(lo, hi, n)  # and numpy warns; the last point is hi in both
+    grid = np.array(_linspace(lo, hi, n))
+    assert grid.dtype == np.float64
+    np.testing.assert_array_equal(grid.view(np.uint64), want.view(np.uint64))
 
 
 class TestStability:
@@ -360,35 +397,41 @@ class TestDeterminismAndOutput:
         assert not target.parent.exists()
 
 
-def test_closed_form_commands_never_load_scipy():
-    """Cold start: the closed-form commands and `import ptspec` need only numpy.
+_WATCHED = ("numpy", "ptspec.solver", "scipy", "scipy.linalg")
 
-    Runs in a fresh interpreter, since this test process has scipy loaded.  The
-    final solve shows that the check sees scipy when a command does load it.
+
+def loaded_after(code: str) -> set:
+    """Which of _WATCHED a fresh interpreter has loaded after running code.
+
+    A fresh interpreter, since this test process has all of them loaded.
     """
-    script = textwrap.dedent("""
-        import contextlib, io, sys
-        import ptspec, ptspec.cli
-
-        def scipy_modules():
-            return [m for m in sys.modules if m == "scipy" or m.startswith("scipy.")]
-
-        commands = [
-            "contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400",
-            "spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv",
-            "figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400",
-            "stability --mass-sign neg --contour ushaped",
-        ]
-        for command in commands:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert ptspec.cli.main(command.split()) == 0, command
-        assert not scipy_modules(), scipy_modules()
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert ptspec.cli.main("solve oscillator --nmax 0 --N 16".split()) == 0
-        assert "scipy.linalg" in sys.modules
-    """)
-    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    report = f"import json, sys; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
+    script = f"{code}\n{report}"
     proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+    return set(json.loads(proc.stdout))
+
+
+@pytest.mark.parametrize("command,loaded", [
+    (None, set()),
+    ("spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv", set()),
+    ("figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400", set()),
+    ("stability --mass-sign neg --contour ushaped", set()),
+    ("contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400", {"numpy"}),
+    ("solve oscillator --nmax 0 --N 16", set(_WATCHED)),
+], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve"])
+def test_what_each_command_loads(command, loaded):
+    """Cold start: the closed forms load neither numpy nor the solver, and scipy
+    loads only for a solve, which also shows that the check sees a load."""
+    code = "import ptspec"
+    if command is not None:
+        code = textwrap.dedent(f"""
+            import contextlib, io
+            import ptspec.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert ptspec.cli.main({command.split()!r}) == 0
+        """)
+    assert loaded_after(code) == loaded

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import ptspec
@@ -13,3 +19,38 @@ def test_every_public_name_is_on_the_package(module):
     assert names
     for name in names:
         assert getattr(ptspec, name, None) is getattr(module, name), name
+
+
+# what a module namespace holds besides the public names, as at any package
+_MODULE_DUNDERS = {
+    "__builtins__", "__cached__", "__doc__", "__file__", "__loader__", "__name__",
+    "__package__", "__path__", "__spec__", "__version__",
+}
+
+
+def _fresh(code: str):
+    """The JSON that code prints, run in a fresh interpreter: nothing loaded yet."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_public_names_do_not_depend_on_what_is_loaded():
+    # the solver's names are served on demand (PEP 562), yet a cold package
+    # lists and star-exports the same names as one that bound them all eagerly
+    modules = {"analytic": analytic, "contour": contour, "errors": errors, "model": model,
+               "solver": solver}
+    public = set(modules)
+    for module in modules.values():
+        public |= set(getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"]))
+    star = _fresh("import json; ns = {}; exec('from ptspec import *', ns); "
+                  "print(json.dumps(sorted(set(ns) - {'__builtins__'})))")
+    assert set(star) == public
+    listed = _fresh("import json, ptspec; print(json.dumps(dir(ptspec)))")
+    assert set(listed) == public | _MODULE_DUNDERS | {"__getattr__", "__dir__"}
+    assert _fresh("import json, ptspec; "
+                  "print(json.dumps(ptspec.find_bound_states is ptspec.solver.find_bound_states))")
