@@ -14,8 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
-from .model import MassConfig, check_L, check_n_max, collapses
+from .errors import DomainError, check_count, check_finite, check_sign
+from .model import MassConfig, check_L, collapses
 
 __all__ = [
     "Level",
@@ -52,8 +52,7 @@ class Reparametrization:
     alpha: float
 
     def __post_init__(self):
-        if self.M0 < 0:
-            raise DomainError(f"M0 must be a nonnegative integer, got {self.M0}")
+        check_count("M0", self.M0, 0)
         if not 0.0 < self.alpha < 0.5 * math.pi:
             raise DomainError(
                 f"residuum angle must lie strictly inside (0, pi/2), got {self.alpha}"
@@ -88,16 +87,17 @@ def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
     """Single level of the closed-form spectrum.
 
     Raises SingularL at integer L, where one denominator 2L+1+sigma(2n+1)
-    vanishes, whichever level (n, sigma) is asked for (model.check_L).
+    vanishes, whichever level (n, sigma) is asked for (model.check_L), and
+    DomainError where the energy is not finite (a NaN Z, or Z^2 overflowing).
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if sigma not in (1, -1):
-        raise DomainError(f"sigma must be +1 or -1, got {sigma}")
+    check_count("n", n, 0)
+    check_sign("sigma", sigma)
     MassConfig(mass_sign)
     check_L(L)
     ratio = _ratio(Z, 2.0 * L + 1.0, n, sigma)
-    return Level(n=n, sigma=sigma, energy=mass_sign * ratio * ratio, kappa=abs(ratio))
+    energy = mass_sign * ratio * ratio
+    check_finite("E(n={}, sigma={}) at Z = {}", energy, n, sigma, Z)  # and so kappa = sqrt|E|
+    return Level(n=n, sigma=sigma, energy=energy, kappa=abs(ratio))
 
 
 def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level]:
@@ -105,7 +105,7 @@ def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level
 
     Raises SingularL at integer L (level), for every n_max.
     """
-    check_n_max(n_max)
+    check_count("n_max", n_max, 0)
     levels = [level(Z, L, n, sigma, mass_sign) for n in range(n_max + 1) for sigma in (1, -1)]
     levels.sort(key=lambda lv: (lv.energy, lv.n, lv.sigma))
     return levels
@@ -117,17 +117,19 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
     Emits one row per (grid point, n, sigma) in input order.  Where the level
     collapses (model.collapses, by which level refuses integer L), the row is
     an explicit gap record (minus_kappa None), so the collapse asymptotes stay
-    visible in the output.  A non-finite 2L+1 raises DomainError.
+    visible in the output.  A non-finite 2L+1 or kappa raises DomainError.
     """
-    check_n_max(n_max)
+    check_count("n_max", n_max, 0)
     rows = []
     for t in grid_of_2Lp1:
         t = float(t)
-        if not math.isfinite(t):
-            raise DomainError(f"2L+1 must be finite, got {t}")
+        check_finite("2L+1", t)
         for n in range(n_max + 1):
             for sigma in (1, -1):
                 ratio = _ratio(Z, t, n, sigma)
+                if ratio is not None:
+                    name = "kappa(n={}, sigma={}) at 2L+1 = {}, Z = {}"
+                    check_finite(name, ratio, n, sigma, t, Z)
                 rows.append(Figure3Row(t, n, sigma, None if ratio is None else -abs(ratio)))
     return rows
 

@@ -65,19 +65,31 @@ def _pick_contour(kind: str, epsilon: float = 1.0, phi: float = 0.0):
     return UShaped(epsilon) if kind == "ushaped" else StraightLine(phi)
 
 
+def _linspace(lo: float, hi: float, n: int) -> list:
+    """np.linspace(lo, hi, n) for n >= 1, bit for bit, without loading numpy."""
+    delta = hi - lo
+    if n == 1:  # lo, formed as numpy forms it: 0*delta + lo
+        return [0.0 * delta + lo]
+    step = delta / (n - 1)
+    if step == 0:  # a subnormal step underflows: numpy scales by i/(n-1) first
+        grid = [i / (n - 1) * delta + lo for i in range(n)]
+    else:
+        grid = [i * step + lo for i in range(n)]
+    grid[-1] = hi
+    return grid
+
+
 def _run_contour_sample(p: dict) -> str:
     contour = _pick_contour(p["kind"], p["epsilon"], p["phi"])
     if p["n"] < 1:
         raise UsageError(f"n must be >= 1, got {p['n']}")
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
-    import numpy as np  # deferred: the other closed-form commands start without numpy
-
-    s = np.linspace(p["smin"], p["smax"], p["n"])
+    s = _linspace(p["smin"], p["smax"], p["n"])
     x = evaluate(contour, s)
     dx = derivatives(contour, s)
     rows = (
-        (float(si), float(xi.real), float(xi.imag), float(di.real), float(di.imag))
+        (si, float(xi.real), float(xi.imag), float(di.real), float(di.imag))
         for si, xi, di in zip(s, x, dx)
     )
     return _table(p["format"], "rows", ("s", "re_x", "im_x", "re_dx", "im_dx"), rows)
@@ -119,18 +131,6 @@ def _run_spectrum_numeric(p: dict) -> str:
         mass_sign=-1,
     )
     return _solve(problem, S, p)
-
-
-def _linspace(lo: float, hi: float, n: int) -> list:
-    """np.linspace(lo, hi, n) for n >= 2, bit for bit, without loading numpy."""
-    delta = hi - lo
-    step = delta / (n - 1)
-    if step == 0:  # a subnormal step underflows: numpy scales by i/(n-1) first
-        grid = [i / (n - 1) * delta + lo for i in range(n)]
-    else:
-        grid = [i * step + lo for i in range(n)]
-    grid[-1] = hi
-    return grid
 
 
 def _run_figure3(p: dict) -> str:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_finite
 
 __all__ = [
     "StraightLine",
@@ -30,8 +30,7 @@ class StraightLine:
     phi: float = 0.0
 
     def __post_init__(self):
-        if not math.isfinite(self.phi):
-            raise DomainError(f"phi must be finite, got {self.phi}")
+        check_finite("phi", self.phi)
 
 
 @dataclass(frozen=True)
@@ -46,8 +45,7 @@ class UShaped:
     epsilon: float = 1.0
 
     def __post_init__(self):
-        if not math.isfinite(self.epsilon):
-            raise DomainError(f"epsilon must be finite, got {self.epsilon}")
+        check_finite("epsilon", self.epsilon)
         if self.epsilon < 0:
             raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
 

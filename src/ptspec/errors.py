@@ -1,4 +1,13 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the scalar checks that raise them.
+
+Every scalar refusal of the package goes through check_finite, check_count or
+check_sign, so a rule and its message live in one place.
+"""
+
+import math
+import numbers
+
+__all__ = ["PtspecError", "DomainError", "SingularL", "GeometryError", "ConvergenceFailure"]
 
 
 class PtspecError(Exception):
@@ -6,27 +15,15 @@ class PtspecError(Exception):
 
 
 class DomainError(PtspecError):
-    """A parameter lies outside the mathematical domain of an operation."""
-
-
-class SingularPoint(PtspecError):
-    """Potential evaluated at its singular point x = 0."""
-
-
-class FallToCenter(PtspecError):
-    """Centrifugal strength below the collapse threshold; no real L exists."""
+    """A parameter, or a value formed from it, lies outside the domain of an operation."""
 
 
 class SingularL(PtspecError):
     """Effective angular momentum L is an integer (excluded singular value)."""
 
 
-class UnsupportedGeometry(PtspecError):
-    """Contour/mass combination outside the supported classification table."""
-
-
 class GeometryError(PtspecError):
-    """Grid or contour geometry unusable for discretization."""
+    """Grid, contour or contour/mass combination the operation does not support."""
 
 
 class ConvergenceFailure(PtspecError):
@@ -38,5 +35,25 @@ class ConvergenceFailure(PtspecError):
         self.iterations = iterations
 
 
-class FitError(PtspecError):
-    """Tail fit impossible (underflowed or empty fit window)."""
+def check_finite(name: str, value: float, *fields) -> None:
+    """DomainError unless value is finite (NaN and +-inf refused).
+
+    name.format(*fields) names the value, formatted only on refusal: a check
+    inside a sweep costs no string formatting.
+    """
+    if not math.isfinite(value):
+        raise DomainError(f"{name.format(*fields)} must be finite, got {value}")
+
+
+def check_count(name: str, value: int, minimum: int) -> None:
+    """DomainError unless value is an integer >= minimum; a bool is refused."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_sign(name: str, value: int) -> None:
+    """DomainError unless value is +1 or -1."""
+    if value not in (1, -1):
+        raise DomainError(f"{name} must be +1 or -1, got {value}")

@@ -8,11 +8,10 @@ package are reported in these units.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 from .contour import Contour, StraightLine, UShaped
-from .errors import DomainError, FallToCenter, SingularL, SingularPoint, UnsupportedGeometry
+from .errors import DomainError, GeometryError, SingularL, check_count, check_finite, check_sign
 
 __all__ = [
     "CoulombKratzer",
@@ -45,6 +44,9 @@ class CoulombKratzer:
 
     Z: float
 
+    def __post_init__(self):
+        check_finite("Z", self.Z)
+
 
 @dataclass(frozen=True)
 class Oscillator:
@@ -61,8 +63,7 @@ class MassConfig:
     sign: int = 1
 
     def __post_init__(self):
-        if self.sign not in (1, -1):
-            raise DomainError(f"mass sign must be +1 or -1, got {self.sign}")
+        check_sign("mass sign", self.sign)
 
 
 @dataclass(frozen=True)
@@ -90,24 +91,15 @@ def integer_L(L: float) -> bool:
 
 def check_L(L: float) -> None:
     """The one check of L: DomainError unless finite, SingularL at integer L (integer_L)."""
-    if not math.isfinite(L):
-        raise DomainError(f"L must be finite, got {L}")
+    check_finite("L", L)
     if integer_L(L):
         raise SingularL(f"integer L = {L} excluded for the Coulomb-Kratzer model")
-
-
-def check_n_max(n_max: int) -> None:
-    """The one check of n_max: DomainError unless an int >= 0, bool refused (as GridSpec's N)."""
-    if not isinstance(n_max, numbers.Integral) or isinstance(n_max, bool):
-        raise DomainError(f"n_max must be an integer, got {n_max!r}")
-    if n_max < 0:
-        raise DomainError(f"n_max must be >= 0, got {n_max}")
 
 
 def evaluate_potential(p: Potential, x):
     """Evaluate the potential at complex x (scalar or array).
 
-    Raises SingularPoint at x = 0 for the Coulomb-Kratzer potential.  Both
+    Raises DomainError at x = 0 for the Coulomb-Kratzer potential.  Both
     potentials are rational, so no branch choice enters.
     """
     import numpy as np  # deferred: import ptspec loads no numpy
@@ -116,7 +108,7 @@ def evaluate_potential(p: Potential, x):
     scalar = arr.ndim == 0
     if isinstance(p, CoulombKratzer):
         if np.any(arr == 0):
-            raise SingularPoint("Coulomb-Kratzer potential evaluated at x = 0")
+            raise DomainError("Coulomb-Kratzer potential evaluated at x = 0")
         v = 1j * p.Z / arr
     else:
         v = arr * arr
@@ -126,15 +118,16 @@ def evaluate_potential(p: Potential, x):
 def effective_L(ell: int, F: float) -> float:
     """Solve L(L+1) = ell(ell+1) + F on the branch continuously connected to L = ell.
 
-    Raises FallToCenter below the collapse threshold (ell + 1/2)^2 + F <= 0.
+    Raises DomainError for a non-finite F and below the collapse threshold
+    (ell + 1/2)^2 + F <= 0.
     An integer L is returned as it is: every consumer of L but figure3_data
     refuses it (check_L).
     """
-    if ell < 0 or ell != int(ell):
-        raise DomainError(f"ell must be a nonnegative integer, got {ell}")
+    check_count("ell", ell, 0)
+    check_finite("F", F)
     disc = (ell + 0.5) ** 2 + F
     if disc <= 0:
-        raise FallToCenter(
+        raise DomainError(
             f"(ell+1/2)^2 + F = {disc} <= 0: no real effective L exists"
         )
     return -0.5 + math.sqrt(disc)
@@ -151,7 +144,7 @@ def _kinetic_orientation(contour: Contour) -> int:
         return -1
     if isinstance(contour, StraightLine) and contour.phi == 0.0:
         return 1
-    raise UnsupportedGeometry(
+    raise GeometryError(
         "asymptotic classification supports the U path and the phi=0 line only"
     )
 

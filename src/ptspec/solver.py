@@ -30,7 +30,6 @@ conjugate-reflection identity of PT-symmetric inputs exact in floating point.
 from __future__ import annotations
 
 import math
-import numbers
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -44,23 +43,8 @@ from .analytic import Level
 # evaluate is not called here, but stays importable as ptspec.solver.evaluate,
 # the name the bench tracer wraps
 from .contour import Contour, StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
-from .errors import (
-    ConvergenceFailure,
-    DomainError,
-    FitError,
-    GeometryError,
-    SingularPoint,
-    UnsupportedGeometry,
-)
-from .model import (
-    CoulombKratzer,
-    MassConfig,
-    Oscillator,
-    Potential,
-    check_L,
-    check_n_max,
-    evaluate_potential,
-)
+from .errors import ConvergenceFailure, DomainError, GeometryError, check_count, check_finite
+from .model import CoulombKratzer, MassConfig, Oscillator, Potential, check_L, evaluate_potential
 
 __all__ = [
     "GridSpec",
@@ -111,14 +95,10 @@ class GridSpec:
     stretched: bool = False
 
     def __post_init__(self):
+        check_finite("S", self.S)
         if not self.S > 0:
             raise DomainError(f"S must be > 0, got {self.S}")
-        if not math.isfinite(self.S):
-            raise DomainError(f"S must be finite, got {self.S}")
-        if not isinstance(self.N, numbers.Integral) or isinstance(self.N, bool):
-            raise DomainError(f"N must be an integer, got {self.N!r}")
-        if self.N < 16:
-            raise DomainError(f"N must be >= 16, got {self.N}")
+        check_count("N", self.N, 16)
         if not isinstance(self.stretched, bool):
             raise DomainError(f"stretched must be True or False, got {self.stretched!r}")
 
@@ -218,8 +198,7 @@ class DiscretizedOperator:
         object.__setattr__(self, "sub", np.asarray(self.sub, dtype=complex))
         object.__setattr__(self, "sup", np.asarray(self.sup, dtype=complex))
         n = self.diag.size
-        if n < 2:
-            raise DomainError(f"N must be >= 2, got {n}")
+        check_count("N", n, 2)
         if self.sub.size != n - 1 or self.sup.size != n - 1:
             raise DomainError("off-diagonal bands must have length N-1")
 
@@ -298,13 +277,15 @@ def discretize(
     read-only, and within one _search every host operator shares them; only
     the diagonal is formed here.  MassConfig checks the mass sign
     (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
-    contour.  model.check_L refuses a non-finite L, and an integer L only in a
-    Coulomb-Kratzer run, Z != 0: the oscillator benchmark runs at L = 0.
+    contour.  A non-finite L is refused for every potential, an integer L
+    (model.check_L) only in a Coulomb-Kratzer run, Z != 0: the oscillator
+    benchmark runs at L = 0.
     """
     MassConfig(mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
-    if not math.isfinite(L) or (isinstance(potential, CoulombKratzer) and potential.Z != 0.0):
+    check_finite("L", L)
+    if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
         check_L(L)
 
     x, kinetic, sub, sup = _per_solve(
@@ -314,7 +295,7 @@ def discretize(
     lam = L * (L + 1.0)
     if lam != 0.0:
         if np.any(x == 0):
-            raise SingularPoint("centrifugal term evaluated at x = 0")
+            raise DomainError("centrifugal term evaluated at x = 0")
         coeff = coeff + lam / (x * x)
     return DiscretizedOperator(diag=mass_sign * (kinetic + coeff), sub=sub, sup=sup)
 
@@ -633,7 +614,7 @@ def eigenvector_asymptotics(eigenvector: np.ndarray, grid: GridSpec) -> dict:
         m = mag[idx]
         keep = m > 1e-280
         if keep.sum() < 3:
-            raise FitError("tail magnitudes underflow")
+            raise DomainError("tail magnitudes underflow")
         slope = np.polyfit(s[idx][keep], np.log(m[keep]), 1)[0]
         return float(slope)
 
@@ -717,7 +698,7 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
         and isinstance(problem.contour, UShaped)
         and problem.mass_sign == -1
     ):
-        raise UnsupportedGeometry(
+        raise GeometryError(
             "bound-state search supports the negative-mass Coulomb-Kratzer model "
             "on the U path and the oscillator benchmark only"
         )
@@ -831,7 +812,7 @@ def find_bound_states(
     attached.  order_estimate is an order of convergence only where every
     level's error shrinks as a power of h; it is not a Richardson estimate.
     """
-    check_n_max(n_max)
+    check_count("n_max", n_max, 0)
     if isinstance(problem.contour, UShaped) and not grid.stretched:
         aligned = aligned_grid(problem.contour, grid)
         if aligned.reach < grid.S:

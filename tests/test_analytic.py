@@ -16,7 +16,7 @@ from ptspec.analytic import (
     spectrum_table,
 )
 from ptspec.errors import DomainError, SingularL
-from ptspec.model import integer_L
+from ptspec.model import MassConfig, integer_L
 
 
 def test_level_deep_negative_mass():
@@ -41,12 +41,20 @@ def test_level_singular_coupling():
             level(Z=1.0, L=1.0, n=n, sigma=sigma, mass_sign=-1)
 
 
-@pytest.mark.parametrize("mass_sign", [0, 2])
+@pytest.mark.parametrize("mass_sign", [0, 2, -2, 0.5, math.nan])
 def test_mass_sign_outside_domain(mass_sign):
-    with pytest.raises(DomainError):
-        level(Z=1.0, L=0.3, n=0, sigma=-1, mass_sign=mass_sign)
-    with pytest.raises(DomainError):
-        spectrum_table(Z=1.0, L=0.3, n_max=1, mass_sign=mass_sign)
+    # every sign, one table: the mass sign and sigma (errors.check_sign)
+    calls = [
+        ("mass sign", lambda: MassConfig(mass_sign)),
+        ("mass sign", lambda: level(Z=1.0, L=0.3, n=0, sigma=-1, mass_sign=mass_sign)),
+        ("mass sign", lambda: spectrum_table(Z=1.0, L=0.3, n_max=1, mass_sign=mass_sign)),
+        ("sigma", lambda: level(Z=1.0, L=0.3, n=0, sigma=mass_sign, mass_sign=-1)),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, call in calls:
+            with pytest.raises(DomainError, match=f"^{name} must be \\+1 or -1, got {mass_sign}$"):
+                call()
 
 
 def test_level_kappa_energy_consistency():
@@ -160,8 +168,10 @@ class TestFigure3:
     @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
     def test_non_finite_2L_plus_1_refused(self, t):
         # neither a value nor a gap record: refused, naming the value
-        with pytest.raises(DomainError, match=f"2L\\+1 must be finite, got {t}"):
-            figure3_data(1.0, [1.5, t], 0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=f"2L\\+1 must be finite, got {t}"):
+                figure3_data(1.0, [1.5, t], 0)
 
     def test_rows_in_input_order(self):
         ts = [2.5, 0.7, 4.1]

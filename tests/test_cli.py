@@ -146,10 +146,19 @@ class TestSpectrumNumeric:
         (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--epsilon", "0.001"), "reach g(T)"),
         (("spectrum", "analytic", "--Z", "1", "--L", "1", "--nmax", "1"), "integer L"),
         (("solve", "oscillator", "--nmax", "-1"), "n_max must be >= 0"),
+        # an overflowed closed form is not a value: no -Infinity is written
+        (("spectrum", "analytic", "--Z", "1e200", "--L", "0.3", "--nmax", "0",
+          "--format", "json"), "E(n=0, sigma=1) at Z = 1e+200 must be finite, got -inf"),
+        (("spectrum", "numeric", "--Z", "1e200", "--L", "0.3", "--N", "100", "--nmax", "0"),
+         "E(n=0, sigma=1) at Z = 1e+200 must be finite, got -inf"),
+        (("figure3", "--Z", "1e308", "--grid-n", "2", "--grid-min", "0.5", "--grid-max", "0.6",
+          "--nmax", "0", "--format", "json"),
+         "kappa(n=0, sigma=-1) at 2L+1 = 0.5, Z = 1e+308 must be finite, got -inf"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
-        # a collapsed L, a reach below S and a negative n_max, in the search and
-        # the closed form alike: exit 1, one line, no warning before it
+        # a collapsed L, a reach below S, a negative n_max and an overflowed
+        # level, in the search and the closed form alike: exit 1, one line, no
+        # warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -230,20 +239,25 @@ class TestFigure3:
         assert gap and gap[0]["minus_kappa"] is None
 
 
-_POSITIVE = st.floats(min_value=5e-324, allow_infinity=False, allow_subnormal=True)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False, allow_subnormal=True)
 
 
-@given(lo=_POSITIVE, hi=_POSITIVE, n=st.integers(2, 2000))
+@given(lo=_FINITE, hi=_FINITE, n=st.integers(1, 2000))
 @example(lo=5e-324, hi=1e-322, n=100)  # the step underflows to 0
+@example(lo=-1e-322, hi=-5e-324, n=100)
 @example(lo=0.05, hi=1e308, n=3)
-@example(lo=0.05, hi=6.0, n=400)
+@example(lo=0.05, hi=6.0, n=400)  # figure3's default sweep
+@example(lo=-10.0, hi=10.0, n=400)  # contour sample's
+@example(lo=-0.0, hi=1.0, n=1)  # numpy's one point is 0*(hi-lo) + lo, so 0.0
+@example(lo=-1e308, hi=1e308, n=1)  # hi - lo overflows: numpy's one point is NaN
 @settings(max_examples=500, deadline=None)
 def test_figure3_grid_is_numpy_linspace_bit_for_bit(lo, hi, n):
+    # the grid of figure3 and of contour sample: finite lo < hi, n >= 1
     assume(lo != hi)
     lo, hi = min(lo, hi), max(lo, hi)
-    with np.errstate(over="ignore"):  # near the top of the range (n-1)*step rounds to inf
-        want = np.linspace(lo, hi, n)  # and numpy warns; the last point is hi in both
-    grid = np.array(_linspace(lo, hi, n))
+    with np.errstate(over="ignore", invalid="ignore"):  # near the top of the range
+        want = np.linspace(lo, hi, n)  # hi - lo or (n-1)*step rounds to inf, and
+    grid = np.array(_linspace(lo, hi, n))  # numpy warns; the last point is hi in both
     assert grid.dtype == np.float64
     np.testing.assert_array_equal(grid.view(np.uint64), want.view(np.uint64))
 

@@ -146,5 +146,5 @@ def test_negative_epsilon_rejected():
 
 def test_nonfinite_phi_rejected():
     for phi in (math.nan, math.inf, -math.inf):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=f"^phi must be finite, got {phi}$"):
             StraightLine(phi)

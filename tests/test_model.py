@@ -4,12 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ptspec.contour import StraightLine, UShaped
-from ptspec.errors import (
-    DomainError,
-    FallToCenter,
-    SingularPoint,
-    UnsupportedGeometry,
-)
+from ptspec.errors import DomainError, GeometryError
 from ptspec.model import (
     DECAYING_PAIR,
     PLANE_WAVE_PAIR,
@@ -32,7 +27,7 @@ class TestPotential:
         assert evaluate_potential(Oscillator(), 3j) == pytest.approx(-9.0)
 
     def test_singular_origin(self):
-        with pytest.raises(SingularPoint):
+        with pytest.raises(DomainError, match="Coulomb-Kratzer potential evaluated at x = 0"):
             evaluate_potential(CoulombKratzer(1.0), 0.0)
 
     def test_quadratic_well_regular_at_origin(self):
@@ -71,9 +66,9 @@ class TestEffectiveL:
         assert not integer_L(L)
 
     def test_fall_to_center(self):
-        with pytest.raises(FallToCenter):
+        with pytest.raises(DomainError, match=r"= 0.0 <= 0: no real effective L exists"):
             effective_L(0, -0.25)
-        with pytest.raises(FallToCenter):
+        with pytest.raises(DomainError, match=r"<= 0: no real effective L exists"):
             effective_L(0, -0.3)
 
     @given(L=st.floats(min_value=-0.499, max_value=40.0), ell=st.integers(0, 6))
@@ -114,7 +109,7 @@ class TestClassification:
             classify_asymptotics(MassConfig(), UShaped(1.0), 0.0)
 
     def test_tilted_line_unsupported(self):
-        with pytest.raises(UnsupportedGeometry):
+        with pytest.raises(GeometryError, match="supports the U path and the phi=0 line only"):
             classify_asymptotics(MassConfig(), StraightLine(0.4), 1.0)
 
     @given(
@@ -144,7 +139,7 @@ class TestStability:
                 assert isinstance(v.narrative, str) and v.narrative
 
     def test_unsupported_geometry(self):
-        with pytest.raises(UnsupportedGeometry):
+        with pytest.raises(GeometryError, match="supports the U path and the phi=0 line only"):
             stability_verdict(MassConfig(), StraightLine(0.7))
 
     def test_consistency_with_classifier(self):

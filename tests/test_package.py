@@ -14,10 +14,9 @@ from ptspec import analytic, contour, errors, model, solver
     "module", [analytic, contour, errors, model, solver], ids=lambda m: m.__name__
 )
 def test_every_public_name_is_on_the_package(module):
-    # errors has no __all__: its public names are its exception classes
-    names = getattr(module, "__all__", [n for n in vars(module) if not n.startswith("_")])
-    assert names
-    for name in names:
+    # errors' __all__ is its five exception classes: its checks stay internal
+    assert module.__all__
+    for name in module.__all__:
         assert getattr(ptspec, name, None) is getattr(module, name), name
 
 
@@ -46,7 +45,7 @@ def test_public_names_do_not_depend_on_what_is_loaded():
                "solver": solver}
     public = set(modules)
     for module in modules.values():
-        public |= set(getattr(module, "__all__", [n for n in vars(module) if n[0] != "_"]))
+        public |= set(module.__all__)
     star = _fresh("import json; ns = {}; exec('from ptspec import *', ns); "
                   "print(json.dumps(sorted(set(ns) - {'__builtins__'})))")
     assert set(star) == public
@@ -54,3 +53,11 @@ def test_public_names_do_not_depend_on_what_is_loaded():
     assert set(listed) == public | _MODULE_DUNDERS | {"__getattr__", "__dir__"}
     assert _fresh("import json, ptspec; "
                   "print(json.dumps(ptspec.find_bound_states is ptspec.solver.find_bound_states))")
+
+
+def test_five_exception_classes():
+    # every refusal raises one of five classes; the scalar checks are not exported
+    classes = {n for n, v in vars(errors).items() if isinstance(v, type)}
+    assert classes == set(errors.__all__) == {
+        "PtspecError", "DomainError", "SingularL", "GeometryError", "ConvergenceFailure",
+    }

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -6,16 +7,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from ptspec.analytic import Level, figure3_data, level, spectrum_table
+from ptspec.analytic import Level, Reparametrization, figure3_data, level, spectrum_table
 from ptspec.contour import StraightLine, UShaped, derivatives, evaluate
-from ptspec.errors import (
-    ConvergenceFailure,
-    DomainError,
-    FitError,
-    GeometryError,
-    SingularL,
-    UnsupportedGeometry,
-)
+from ptspec.errors import ConvergenceFailure, DomainError, GeometryError, SingularL
 from ptspec import solver
 from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential, integer_L
 from ptspec.solver import (
@@ -308,10 +302,14 @@ class TestDiscretize:
         np.testing.assert_allclose(pos.diag, -neg.diag, rtol=1e-15)
         np.testing.assert_allclose(pos.sub, -neg.sub, rtol=1e-15)
 
-    @pytest.mark.parametrize("mass_sign", [0, 2])
+    @pytest.mark.parametrize("mass_sign", [0, 2, -2, 0.5, math.nan])
     def test_mass_sign_outside_domain(self, mass_sign):
-        with pytest.raises(DomainError):
-            discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(12.0, 128))
+        # the operator's mass sign is the model's (errors.check_sign)
+        match = f"^mass sign must be \\+1 or -1, got {mass_sign}$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=match):
+                discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(12.0, 128))
 
 
 def _pairing_distance(a, b):
@@ -685,7 +683,7 @@ class TestEigenvectorAsymptotics:
         grid = GridSpec(15.0, 1000)
         dead = np.zeros(1000)
         dead[400:600] = 1.0
-        with pytest.raises(FitError):
+        with pytest.raises(DomainError, match="tail magnitudes underflow"):
             eigenvector_asymptotics(dead, grid)
 
     def test_length_mismatch(self):
@@ -740,14 +738,14 @@ class TestFindBoundStates:
 
     def test_unsupported_model_rejected(self):
         bad = BoundStateProblem(UShaped(1.0), CoulombKratzer(1.0), 0.3, 1)
-        with pytest.raises(UnsupportedGeometry):
+        with pytest.raises(GeometryError, match="bound-state search supports"):
             find_bound_states(bad, GridSpec(10.0, 64), 0)
         bent = BoundStateProblem(StraightLine(0.4), Oscillator(), 0.0, 1)
         # L = -1 has the same L(L+1) = 0, but the benchmark is oscillator_problem() only
         centrifugal = BoundStateProblem(StraightLine(0.0), Oscillator(), -1.0, 1)
         inverted = BoundStateProblem(StraightLine(0.0), Oscillator(), 0.0, -1)
         for problem in (bent, centrifugal, inverted):
-            with pytest.raises(UnsupportedGeometry):
+            with pytest.raises(GeometryError, match="bound-state search supports"):
                 find_bound_states(problem, GridSpec(10.0, 64), 0)
 
     def test_two_grid_order_near_two(self):
@@ -956,47 +954,83 @@ class TestOneCollapseRule:
                 find_bound_states(ck_problem(Z=Z, L=L), GridSpec(15.0, 400), n_max=2)
 
 
-@pytest.mark.parametrize("L", [math.nan, math.inf, -math.inf])
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda L: level(1.0, L, 0, 1, -1),
-        lambda L: spectrum_table(1.0, L, 1, -1),
-        lambda L: auto_box(1.0, L, 2),
-        lambda L: discretize(UShaped(1.0), CoulombKratzer(1.0), L, -1, GridSpec(10.0, 64)),
-        lambda L: find_bound_states(ck_problem(L=L), GridSpec(15.0, 400), n_max=2),
-        lambda L: discretize(StraightLine(0.0), Oscillator(), L, 1, GridSpec(10.0, 64)),
-        lambda L: discretize(UShaped(1.0), CoulombKratzer(0.0), L, -1, GridSpec(10.0, 64)),
-    ],
-    ids=[
-        "level", "spectrum_table", "auto_box", "discretize", "find_bound_states",
-        "discretize_oscillator", "discretize_zero_coupling",
-    ],
-)
-def test_non_finite_L_is_a_domain_error(call, L):
-    # refused for every potential, before any NaN band or numpy warning
+# every finite rule, one table: (name in the message, call); errors.check_finite
+_FINITE = {
+    "level": ("L", lambda L: level(1.0, L, 0, 1, -1)),
+    "spectrum_table": ("L", lambda L: spectrum_table(1.0, L, 1, -1)),
+    "auto_box": ("L", lambda L: auto_box(1.0, L, 2)),
+    "discretize": (
+        "L", lambda L: discretize(UShaped(1.0), CoulombKratzer(1.0), L, -1, GridSpec(10.0, 64))
+    ),
+    "find_bound_states": (
+        "L", lambda L: find_bound_states(ck_problem(L=L), GridSpec(15.0, 400), n_max=2)
+    ),
+    "discretize_oscillator": (
+        "L", lambda L: discretize(StraightLine(0.0), Oscillator(), L, 1, GridSpec(10.0, 64))
+    ),
+    "discretize_zero_coupling": (
+        "L", lambda L: discretize(UShaped(1.0), CoulombKratzer(0.0), L, -1, GridSpec(10.0, 64))
+    ),
+    "phi": ("phi", StraightLine),
+    "epsilon": ("epsilon", UShaped),
+    "S": ("S", lambda S: GridSpec(S, 64)),
+    "2L+1": ("2L+1", lambda t: figure3_data(1.0, [1.5, t], 0)),
+    "Z": ("Z", CoulombKratzer),
+    "F": ("F", lambda F: effective_L(0, F)),
+    # a closed form at a non-finite Z has a non-finite value: refused, naming Z
+    "level_Z": ("E(n=0, sigma=1) at Z = ", lambda Z: level(Z, 0.3, 0, 1, -1)),
+    "figure3_data_Z": (
+        "kappa(n=0, sigma=1) at 2L+1 = 1.5, Z = ", lambda Z: figure3_data(Z, [1.5], 0)
+    ),
+    "auto_box_Z": ("at Z = ", lambda Z: auto_box(Z, 0.3, 1)),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", _FINITE.values(), ids=_FINITE)
+def test_non_finite_L_is_a_domain_error(entry, value):
+    # L and every other finite rule: refused before any NaN band or numpy warning
+    name, call = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match="L must be finite"):
-            call(L)
+        with pytest.raises(DomainError, match=re.escape(name) + ".* must be finite, got "):
+            call(value)
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda n: spectrum_table(1.0, 0.3, n, -1),
-        lambda n: figure3_data(1.0, [1.6], n),
-        lambda n: find_bound_states(oscillator_problem(), GridSpec(10.0, 64), n),
-    ],
-    ids=["spectrum_table", "figure3_data", "find_bound_states"],
-)
-def test_n_max_checked_once(call):
-    with pytest.raises(DomainError, match=r"n_max must be >= 0, got -1"):
-        call(-1)
-    for bad in (1.5, 2.0, True, "2"):
-        with pytest.raises(DomainError, match=r"n_max must be an integer, got "):
-            call(bad)
-    call(np.int64(1))  # numpy integers are integers
+_BAD_COUNTS = (-1, 1.5, 2.0, True, "2")
+# every count, one table: (name, minimum, call, bad values); errors.check_count
+_COUNTS = {
+    "spectrum_table": ("n_max", 0, lambda n: spectrum_table(1.0, 0.3, n, -1), _BAD_COUNTS),
+    "figure3_data": ("n_max", 0, lambda n: figure3_data(1.0, [1.6], n), _BAD_COUNTS),
+    "find_bound_states": (
+        "n_max", 0, lambda n: find_bound_states(oscillator_problem(), GridSpec(10.0, 64), n),
+        _BAD_COUNTS,
+    ),
+    "N": ("N", 16, lambda N: GridSpec(10.0, N), _BAD_COUNTS + (15,)),
+    # an operator's size is an array size: never a fraction, a bool or text
+    "operator_size": (
+        "N", 2, lambda n: DiscretizedOperator(np.ones(n), np.ones(n - 1), np.ones(n - 1)), (1,)
+    ),
+    "n": ("n", 0, lambda n: level(1.0, 0.3, n, 1, -1), _BAD_COUNTS),
+    "M0": ("M0", 0, lambda M0: Reparametrization(M0=M0, alpha=0.3), _BAD_COUNTS),
+    "ell": ("ell", 0, lambda ell: effective_L(ell, 0.5), _BAD_COUNTS),
+}
+
+
+@pytest.mark.parametrize("entry", _COUNTS.values(), ids=_COUNTS)
+def test_n_max_checked_once(entry):
+    # n_max and every other count: an integer >= its minimum, a bool refused
+    name, minimum, call, bad_values = entry
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in bad_values:
+            if type(bad) is int:
+                match = f"{name} must be >= {minimum}, got {bad}"
+            else:
+                match = re.escape(f"{name} must be an integer, got {bad!r}")
+            with pytest.raises(DomainError, match=match):
+                call(bad)
+        call(np.int64(minimum))  # numpy integers are integers
 
 
 def _keys(levels) -> set:
