@@ -11,17 +11,18 @@ __version__ = "0.1.0"
 def __getattr__(name: str):
     # PEP 562: reached only by names not bound yet.  The solver (and numpy)
     # loads on the first such name, and its __all__ is bound here as a star
-    # import would, so the closed forms run without it.
-    import importlib
+    # import would, so the closed forms run without it.  No public name starts
+    # with "_", so such a probe (hasattr(ptspec, "__wrapped__")) loads nothing.
+    if name == "__all__" or not name.startswith("_"):
+        import importlib
 
-    solver = importlib.import_module(".solver", __name__)
-    globals().update((n, getattr(solver, n)) for n in solver.__all__)
-    if name == "__all__":  # what `from ptspec import *` binds: every public name
-        return [n for n in globals() if not n.startswith("_")]
-    try:
-        return globals()[name]
-    except KeyError:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+        solver = importlib.import_module(".solver", __name__)
+        globals().update((n, getattr(solver, n)) for n in solver.__all__)
+        if name == "__all__":  # what `from ptspec import *` binds: every public name
+            return [n for n in globals() if not n.startswith("_")]
+        if name in globals():
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():

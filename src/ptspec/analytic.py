@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, check_count, check_finite, check_sign
-from .model import MassConfig, check_L, collapses
+from .model import check_L, collapses
 
 __all__ = [
     "Level",
@@ -92,7 +92,7 @@ def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
     """
     check_count("n", n, 0)
     check_sign("sigma", sigma)
-    MassConfig(mass_sign)
+    check_sign("mass sign", mass_sign)
     check_L(L)
     ratio = _ratio(Z, 2.0 * L + 1.0, n, sigma)
     energy = mass_sign * ratio * ratio

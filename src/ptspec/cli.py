@@ -16,8 +16,8 @@ from typing import Callable, NamedTuple
 
 from . import analytic
 from .contour import StraightLine, UShaped, derivatives, evaluate
-from .errors import ConvergenceFailure, PtspecError
-from .model import CoulombKratzer, MassConfig, stability_verdict
+from .errors import ConvergenceFailure, PtspecError, check_count
+from .model import CoulombKratzer, stability_verdict
 
 __all__ = ["load_config", "main"]
 
@@ -81,8 +81,7 @@ def _linspace(lo: float, hi: float, n: int) -> list:
 
 def _run_contour_sample(p: dict) -> str:
     contour = _pick_contour(p["kind"], p["epsilon"], p["phi"])
-    if p["n"] < 1:
-        raise UsageError(f"n must be >= 1, got {p['n']}")
+    check_count("n", p["n"], 1)
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
     s = _linspace(p["smin"], p["smax"], p["n"])
@@ -134,15 +133,15 @@ def _run_spectrum_numeric(p: dict) -> str:
 
 
 def _run_figure3(p: dict) -> str:
-    if p["grid_n"] < 2:
-        raise UsageError(f"grid_n must be >= 2, got {p['grid_n']}")
+    check_count("grid_n", p["grid_n"], 2)
     if not 0 < p["grid_min"] < p["grid_max"]:
         raise UsageError("require 0 < grid_min < grid_max")
     base = _linspace(p["grid_min"], p["grid_max"], p["grid_n"])
     # keep the collapse points visible: splice in each 2n+1, n <= nmax, inside
-    # the sweep, where the level (n, -1) has a vanishing denominator
-    collapse = (float(2 * n + 1) for n in range(p["nmax"] + 1))
-    ts = sorted(set(base).union(t for t in collapse if p["grid_min"] < t < p["grid_max"]))
+    # the sweep, where the level (n, -1) has a vanishing denominator; the odd
+    # numbers stop below grid_max, so a huge nmax reaches figure3_data's check
+    odd = range(1, min(2 * p["nmax"] + 2, math.ceil(p["grid_max"])), 2)
+    ts = sorted(set(base).union(float(t) for t in odd if p["grid_min"] < t))
     rows = (
         (r.two_L_plus_1, r.n, r.sigma, r.minus_kappa)
         for r in analytic.figure3_data(p["Z"], ts, p["nmax"])
@@ -153,7 +152,7 @@ def _run_figure3(p: dict) -> str:
 
 def _run_stability(p: dict) -> str:
     contour = _pick_contour(p["contour"])
-    verdict = stability_verdict(MassConfig(sign=_SIGN[p["mass_sign"]]), contour)
+    verdict = stability_verdict(_SIGN[p["mass_sign"]], contour)
     return json.dumps(
         {"bounded_below": verdict.bounded_below, "narrative": verdict.narrative},
         indent=2,

@@ -46,14 +46,20 @@ def check_finite(name: str, value: float, *fields) -> None:
 
 
 def check_count(name: str, value: int, minimum: int) -> None:
-    """DomainError unless value is an integer >= minimum; a bool is refused."""
+    """DomainError unless value is an integer, minimum <= value <= 2**53; a bool is refused.
+
+    A count must fit a float exactly (every integer up to 2**53 does), so the
+    floats formed from it stay finite.
+    """
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value}")
+    if value > 2**53:
+        raise DomainError(f"{name} must be <= 2**53, got {value}")
 
 
 def check_sign(name: str, value: int) -> None:
-    """DomainError unless value is +1 or -1."""
-    if value not in (1, -1):
+    """DomainError unless value is +1 or -1; a bool is refused."""
+    if isinstance(value, bool) or value not in (1, -1):
         raise DomainError(f"{name} must be +1 or -1, got {value}")

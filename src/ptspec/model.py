@@ -1,8 +1,9 @@
-"""Potential families, mass configuration, and asymptotic spectral classification.
+"""Potential families and the asymptotic classification that decides stability.
 
 Internal units fix hbar = 1 and |m| = 1/2, so the kinetic prefactor
-hbar^2/(2m) is exactly the bare-mass sign.  All energies produced by the
-package are reported in these units.
+hbar^2/(2m) is exactly the bare-mass sign, a plain mass_sign = +1 or -1
+in every API.  All energies produced by the package are reported in these
+units.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ __all__ = [
     "CoulombKratzer",
     "Oscillator",
     "Potential",
-    "MassConfig",
-    "AsymptoticClassification",
     "StabilityVerdict",
     "DECAYING_PAIR",
     "PLANE_WAVE_PAIR",
@@ -54,23 +53,6 @@ class Oscillator:
 
 
 Potential = CoulombKratzer | Oscillator
-
-
-@dataclass(frozen=True)
-class MassConfig:
-    """Bare-mass sign; the magnitude is fixed by the internal units, |m| = 1/2."""
-
-    sign: int = 1
-
-    def __post_init__(self):
-        check_sign("mass sign", self.sign)
-
-
-@dataclass(frozen=True)
-class AsymptoticClassification:
-    energy_sign: int
-    behavior: str
-    wavenumber: float
 
 
 @dataclass(frozen=True)
@@ -149,42 +131,38 @@ def _kinetic_orientation(contour: Contour) -> int:
     )
 
 
-def classify_asymptotics(m: MassConfig, contour: Contour, E: float) -> AsymptoticClassification:
-    """Label the free asymptotic solution pair at energy E.
+def classify_asymptotics(mass_sign: int, contour: Contour, E: float) -> str:
+    """Label the free asymptotic solution pair at energy E: DECAYING_PAIR or PLANE_WAVE_PAIR.
 
     With the effective sign (mass sign times contour orientation) positive the
     textbook rule applies: E < 0 gives a decaying pair, E > 0 plane waves.
     A negative effective sign swaps the two.  E = 0 is the threshold and is
     not classified.
     """
-    effective = m.sign * _kinetic_orientation(contour)
+    check_sign("mass sign", mass_sign)
+    effective = mass_sign * _kinetic_orientation(contour)
     if E == 0:
         raise DomainError("threshold E = 0 is not classified")
-    decaying = (E * effective) < 0
-    return AsymptoticClassification(
-        energy_sign=1 if E > 0 else -1,
-        behavior=DECAYING_PAIR if decaying else PLANE_WAVE_PAIR,
-        wavenumber=math.sqrt(abs(E)),
-    )
+    return DECAYING_PAIR if E * effective < 0 else PLANE_WAVE_PAIR
 
 
-# (bounded below, on the U path) -> narrative
+# (mass sign, kinetic orientation) -> narrative
 _STABILITY_NARRATIVES = {
-    (True, True): (
+    (-1, -1): (
         "Negative bare mass on the U path: the continuum is nonnegative "
         "and the discrete levels accumulate at zero from below, so the "
         "spectrum is bounded from below and the system is stable."
     ),
-    (True, False): (
+    (1, 1): (
         "Textbook kinetic term on the real line: with a confining or "
         "decaying real potential the spectrum is bounded from below."
     ),
-    (False, True): (
+    (1, -1): (
         "Positive bare mass on the U path flips the kinetic sign along both "
         "asymptotes: free waves exist at every negative energy, the spectrum "
         "has no lower bound, and small perturbations destabilize the system."
     ),
-    (False, False): (
+    (-1, 1): (
         "Negative bare mass on the real line flips the kinetic sign: free "
         "waves exist at every negative energy and the spectrum has no lower "
         "bound."
@@ -192,12 +170,16 @@ _STABILITY_NARRATIVES = {
 }
 
 
-def stability_verdict(m: MassConfig, contour: Contour) -> StabilityVerdict:
+def stability_verdict(mass_sign: int, contour: Contour) -> StabilityVerdict:
     """Decide whether the spectrum is bounded from below for this geometry.
 
     It is exactly when negative energies carry a decaying asymptotic pair,
-    not free waves.
+    not free waves (classify_asymptotics): when the effective sign
+    mass_sign * _kinetic_orientation(contour) is positive.
     """
-    bounded = classify_asymptotics(m, contour, -1.0).behavior == DECAYING_PAIR
-    narrative = _STABILITY_NARRATIVES[bounded, isinstance(contour, UShaped)]
-    return StabilityVerdict(bounded_below=bounded, narrative=narrative)
+    check_sign("mass sign", mass_sign)
+    orientation = _kinetic_orientation(contour)
+    return StabilityVerdict(
+        bounded_below=mass_sign * orientation > 0,
+        narrative=_STABILITY_NARRATIVES[mass_sign, orientation],
+    )

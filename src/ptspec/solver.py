@@ -43,8 +43,10 @@ from .analytic import Level
 # evaluate is not called here, but stays importable as ptspec.solver.evaluate,
 # the name the bench tracer wraps
 from .contour import Contour, StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
-from .errors import ConvergenceFailure, DomainError, GeometryError, check_count, check_finite
-from .model import CoulombKratzer, MassConfig, Oscillator, Potential, check_L, evaluate_potential
+from .errors import (
+    ConvergenceFailure, DomainError, GeometryError, check_count, check_finite, check_sign,
+)
+from .model import CoulombKratzer, Oscillator, Potential, check_L, evaluate_potential
 
 __all__ = [
     "GridSpec",
@@ -275,13 +277,13 @@ def discretize(
     continuous there and x'' is never sampled.  The path, kinetic and
     off-diagonal parts come from _geometry, so the off-diagonal bands are
     read-only, and within one _search every host operator shares them; only
-    the diagonal is formed here.  MassConfig checks the mass sign
+    the diagonal is formed here.  errors.check_sign checks the mass sign
     (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
     contour.  A non-finite L is refused for every potential, an integer L
     (model.check_L) only in a Coulomb-Kratzer run, Z != 0: the oscillator
     benchmark runs at L = 0.
     """
-    MassConfig(mass_sign)
+    check_sign("mass sign", mass_sign)
     if isinstance(contour, UShaped) and not contour.epsilon:
         raise GeometryError("width-zero contour is evaluation-only, not discretizable")
     check_finite("L", L)

@@ -18,7 +18,7 @@ from ptspec.analytic import (
     level,
 )
 from ptspec.contour import StraightLine, UShaped, pt_residual
-from ptspec.model import CoulombKratzer, MassConfig, stability_verdict
+from ptspec.model import CoulombKratzer, stability_verdict
 from ptspec.solver import (
     BoundStateProblem,
     GridSpec,
@@ -135,9 +135,9 @@ def test_A5_pt_symmetry_invariants():
 
 def test_A6_stability_truth_table_and_probe():
     verdicts = (
-        not stability_verdict(MassConfig(sign=1), UShaped(1.0)).bounded_below,
-        stability_verdict(MassConfig(sign=-1), UShaped(1.0)).bounded_below,
-        stability_verdict(MassConfig(sign=1), StraightLine(0.0)).bounded_below,
+        not stability_verdict(1, UShaped(1.0)).bounded_below,
+        stability_verdict(-1, UShaped(1.0)).bounded_below,
+        stability_verdict(1, StraightLine(0.0)).bounded_below,
     )
     probe = positive_mass_instability_probe(grids=((15.0, 499), (30.0, 999)))
     trend = probe[1]["min_real"] < probe[0]["min_real"]

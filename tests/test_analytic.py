@@ -15,8 +15,10 @@ from ptspec.analytic import (
     level,
     spectrum_table,
 )
+from ptspec.contour import StraightLine, UShaped
 from ptspec.errors import DomainError, SingularL
-from ptspec.model import MassConfig, integer_L
+from ptspec.model import CoulombKratzer, classify_asymptotics, integer_L, stability_verdict
+from ptspec.solver import GridSpec, discretize
 
 
 def test_level_deep_negative_mass():
@@ -41,13 +43,16 @@ def test_level_singular_coupling():
             level(Z=1.0, L=1.0, n=n, sigma=sigma, mass_sign=-1)
 
 
-@pytest.mark.parametrize("mass_sign", [0, 2, -2, 0.5, math.nan])
+@pytest.mark.parametrize("mass_sign", [0, 2, -2, 0.5, math.nan, True])
 def test_mass_sign_outside_domain(mass_sign):
-    # every sign, one table: the mass sign and sigma (errors.check_sign)
+    # every sign, one table: the mass sign and sigma (errors.check_sign), a bool refused
+    grid = GridSpec(12.0, 128)
     calls = [
-        ("mass sign", lambda: MassConfig(mass_sign)),
         ("mass sign", lambda: level(Z=1.0, L=0.3, n=0, sigma=-1, mass_sign=mass_sign)),
         ("mass sign", lambda: spectrum_table(Z=1.0, L=0.3, n_max=1, mass_sign=mass_sign)),
+        ("mass sign", lambda: discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, grid)),
+        ("mass sign", lambda: classify_asymptotics(mass_sign, UShaped(1.0), -1.0)),
+        ("mass sign", lambda: stability_verdict(mass_sign, StraightLine(0.0))),
         ("sigma", lambda: level(Z=1.0, L=0.3, n=0, sigma=mass_sign, mass_sign=-1)),
     ]
     with warnings.catch_warnings():

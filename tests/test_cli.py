@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ptspec.cli import _linspace, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+_HUGE = "1" + "0" * 400  # a count no float holds
 
 
 def run_cli(capsys, *argv):
@@ -165,6 +166,30 @@ class TestSpectrumNumeric:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert reason in err
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (("spectrum", "analytic", "--Z", "1", "--L", "0.3", "--nmax", _HUGE), "n_max"),
+    (("figure3", "--nmax", _HUGE), "n_max"),
+    (("figure3", "--grid-n", _HUGE), "grid_n"),
+    (("contour", "sample", "--n", _HUGE), "n"),
+    (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--N", _HUGE), "N"),
+    (("solve", "oscillator", "--nmax", _HUGE), "n_max"),
+])
+def test_count_past_2_53_is_refused_at_once(argv, reason):
+    # a count no float holds is refused before any table, grid or float is
+    # formed; the memory cap turns a walk over it into a quick failure, not a
+    # hang (one BLAS thread keeps numpy's own reservation under the cap)
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ptspec.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {reason} must be <= 2**53, got {_HUGE}\n"
 
 
 class TestFigure3:

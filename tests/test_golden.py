@@ -38,6 +38,8 @@ GOLDEN = {
     "figure3.json": _FIGURE3 + ("--format", "json"),
     "stability_neg_ushaped.json": ("stability", "--mass-sign", "neg", "--contour", "ushaped"),
     "stability_pos_line.json": ("stability", "--mass-sign", "pos", "--contour", "line"),
+    "stability_pos_ushaped.json": ("stability", "--mass-sign", "pos", "--contour", "ushaped"),
+    "stability_neg_line.json": ("stability", "--mass-sign", "neg", "--contour", "line"),
     "solver_spectrum_numeric.json": _NUMERIC,
     "solver_spectrum_numeric.csv": _NUMERIC + ("--format", "csv"),
     "solver_spectrum_numeric_order.json": _NUMERIC + ("--order",),

@@ -9,7 +9,6 @@ from ptspec.model import (
     DECAYING_PAIR,
     PLANE_WAVE_PAIR,
     CoulombKratzer,
-    MassConfig,
     Oscillator,
     classify_asymptotics,
     effective_L,
@@ -78,39 +77,26 @@ class TestEffectiveL:
         assert effective_L(ell, F) == pytest.approx(L, rel=1e-9, abs=1e-9)
 
 
-class TestMassConfig:
-    def test_validation(self):
-        with pytest.raises(DomainError):
-            MassConfig(sign=2)
-
-
 class TestClassification:
     def test_positive_mass_u_path_negative_energy(self):
-        c = classify_asymptotics(MassConfig(sign=1), UShaped(1.0), -1.0)
-        assert c.behavior == PLANE_WAVE_PAIR
-        assert c.energy_sign == -1
+        assert classify_asymptotics(1, UShaped(1.0), -1.0) == PLANE_WAVE_PAIR
 
     def test_negative_mass_u_path_negative_energy(self):
-        c = classify_asymptotics(MassConfig(sign=-1), UShaped(1.0), -1.0)
-        assert c.behavior == DECAYING_PAIR
-        assert c.wavenumber == pytest.approx(1.0)
+        assert classify_asymptotics(-1, UShaped(1.0), -1.0) == DECAYING_PAIR
 
     def test_negative_mass_u_path_positive_energy(self):
-        c = classify_asymptotics(MassConfig(sign=-1), UShaped(1.0), 1.0)
-        assert c.behavior == PLANE_WAVE_PAIR
+        assert classify_asymptotics(-1, UShaped(1.0), 1.0) == PLANE_WAVE_PAIR
 
     def test_real_line_textbook(self):
-        c = classify_asymptotics(MassConfig(sign=1), StraightLine(0.0), -4.0)
-        assert c.behavior == DECAYING_PAIR
-        assert c.wavenumber == pytest.approx(2.0)
+        assert classify_asymptotics(1, StraightLine(0.0), -4.0) == DECAYING_PAIR
 
     def test_threshold_not_classified(self):
         with pytest.raises(DomainError):
-            classify_asymptotics(MassConfig(), UShaped(1.0), 0.0)
+            classify_asymptotics(1, UShaped(1.0), 0.0)
 
     def test_tilted_line_unsupported(self):
         with pytest.raises(GeometryError, match="supports the U path and the phi=0 line only"):
-            classify_asymptotics(MassConfig(), StraightLine(0.4), 1.0)
+            classify_asymptotics(1, StraightLine(0.4), 1.0)
 
     @given(
         E=st.floats(min_value=0.01, max_value=50.0),
@@ -120,32 +106,32 @@ class TestClassification:
     @settings(max_examples=200, deadline=None)
     def test_mass_energy_flip_symmetry(self, E, sign, positive):
         energy = E if positive else -E
-        a = classify_asymptotics(MassConfig(sign=sign), UShaped(1.0), energy)
-        b = classify_asymptotics(MassConfig(sign=-sign), UShaped(1.0), -energy)
-        assert a.behavior == b.behavior
+        a = classify_asymptotics(sign, UShaped(1.0), energy)
+        b = classify_asymptotics(-sign, UShaped(1.0), -energy)
+        assert a == b
 
 
 class TestStability:
     def test_truth_table(self):
-        assert not stability_verdict(MassConfig(sign=1), UShaped(1.0)).bounded_below
-        assert stability_verdict(MassConfig(sign=-1), UShaped(1.0)).bounded_below
-        assert stability_verdict(MassConfig(sign=1), StraightLine(0.0)).bounded_below
-        assert not stability_verdict(MassConfig(sign=-1), StraightLine(0.0)).bounded_below
+        assert not stability_verdict(1, UShaped(1.0)).bounded_below
+        assert stability_verdict(-1, UShaped(1.0)).bounded_below
+        assert stability_verdict(1, StraightLine(0.0)).bounded_below
+        assert not stability_verdict(-1, StraightLine(0.0)).bounded_below
 
     def test_narratives_nonempty(self):
         for sign in (1, -1):
             for contour in (UShaped(1.0), StraightLine(0.0)):
-                v = stability_verdict(MassConfig(sign=sign), contour)
+                v = stability_verdict(sign, contour)
                 assert isinstance(v.narrative, str) and v.narrative
 
     def test_unsupported_geometry(self):
         with pytest.raises(GeometryError, match="supports the U path and the phi=0 line only"):
-            stability_verdict(MassConfig(), StraightLine(0.7))
+            stability_verdict(1, StraightLine(0.7))
 
     def test_consistency_with_classifier(self):
         # bounded below exactly when negative energies host no free waves
         for sign in (1, -1):
             for contour in (UShaped(1.0), StraightLine(0.0)):
-                v = stability_verdict(MassConfig(sign=sign), contour)
-                c = classify_asymptotics(MassConfig(sign=sign), contour, -1.0)
-                assert v.bounded_below == (c.behavior == DECAYING_PAIR)
+                v = stability_verdict(sign, contour)
+                c = classify_asymptotics(sign, contour, -1.0)
+                assert v.bounded_below == (c == DECAYING_PAIR)

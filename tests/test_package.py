@@ -55,6 +55,14 @@ def test_public_names_do_not_depend_on_what_is_loaded():
                   "print(json.dumps(ptspec.find_bound_states is ptspec.solver.find_bound_states))")
 
 
+def test_underscore_probe_loads_nothing():
+    # no public name starts with "_": a probe for one is refused without the solver
+    loaded = _fresh("import json, sys, ptspec; probe = hasattr(ptspec, '__wrapped__'); "
+                    "print(json.dumps([probe, 'numpy' in sys.modules, "
+                    "'ptspec.solver' in sys.modules]))")
+    assert loaded == [False, False, False]
+
+
 def test_five_exception_classes():
     # every refusal raises one of five classes; the scalar checks are not exported
     classes = {n for n, v in vars(errors).items() if isinstance(v, type)}

@@ -998,6 +998,9 @@ def test_non_finite_L_is_a_domain_error(entry, value):
 
 
 _BAD_COUNTS = (-1, 1.5, 2.0, True, "2")
+# past 2**53 a count no longer fits a float exactly (10**400 none at all); the
+# n_max of a table is tried in tests/test_cli.py, in a memory-capped process
+_TOO_BIG = (2**53 + 1, 10**160, 10**400)
 # every count, one table: (name, minimum, call, bad values); errors.check_count
 _COUNTS = {
     "spectrum_table": ("n_max", 0, lambda n: spectrum_table(1.0, 0.3, n, -1), _BAD_COUNTS),
@@ -1006,25 +1009,27 @@ _COUNTS = {
         "n_max", 0, lambda n: find_bound_states(oscillator_problem(), GridSpec(10.0, 64), n),
         _BAD_COUNTS,
     ),
-    "N": ("N", 16, lambda N: GridSpec(10.0, N), _BAD_COUNTS + (15,)),
+    "N": ("N", 16, lambda N: GridSpec(10.0, N), _BAD_COUNTS + (15,) + _TOO_BIG),
     # an operator's size is an array size: never a fraction, a bool or text
     "operator_size": (
         "N", 2, lambda n: DiscretizedOperator(np.ones(n), np.ones(n - 1), np.ones(n - 1)), (1,)
     ),
-    "n": ("n", 0, lambda n: level(1.0, 0.3, n, 1, -1), _BAD_COUNTS),
-    "M0": ("M0", 0, lambda M0: Reparametrization(M0=M0, alpha=0.3), _BAD_COUNTS),
-    "ell": ("ell", 0, lambda ell: effective_L(ell, 0.5), _BAD_COUNTS),
+    "n": ("n", 0, lambda n: level(1.0, 0.3, n, 1, -1), _BAD_COUNTS + _TOO_BIG),
+    "M0": ("M0", 0, lambda M0: Reparametrization(M0=M0, alpha=0.3), _BAD_COUNTS + _TOO_BIG),
+    "ell": ("ell", 0, lambda ell: effective_L(ell, 0.5), _BAD_COUNTS + _TOO_BIG),
 }
 
 
 @pytest.mark.parametrize("entry", _COUNTS.values(), ids=_COUNTS)
 def test_n_max_checked_once(entry):
-    # n_max and every other count: an integer >= its minimum, a bool refused
+    # n_max and every other count: an integer >= its minimum and <= 2**53, a bool refused
     name, minimum, call, bad_values = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in bad_values:
-            if type(bad) is int:
+            if type(bad) is int and bad > 2**53:
+                match = f"^{name} must be <= 2\\*\\*53, got {bad}$"
+            elif type(bad) is int:
                 match = f"{name} must be >= {minimum}, got {bad}"
             else:
                 match = re.escape(f"{name} must be an integer, got {bad!r}")
