@@ -80,7 +80,12 @@ class Figure3Row:
 def _ratio(Z: float, t: float, n: int, sigma: int) -> float | None:
     """Z / (t + sigma(2n+1)) at t = 2L+1, kappa in size; None where model.collapses it."""
     den = t + sigma * (2 * n + 1)
-    return None if collapses(den) else Z / den
+    if collapses(den):
+        return None
+    try:
+        return Z / den
+    except OverflowError:  # an integer Z past the float range: infinite as a float
+        return (math.inf if Z > 0 else -math.inf) / den
 
 
 def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
@@ -122,8 +127,8 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
     check_count("n_max", n_max, 0)
     rows = []
     for t in grid_of_2Lp1:
-        t = float(t)
         check_finite("2L+1", t)
+        t = float(t)
         for n in range(n_max + 1):
             for sigma in (1, -1):
                 ratio = _ratio(Z, t, n, sigma)

@@ -102,7 +102,7 @@ def _run_spectrum_analytic(p: dict) -> str:
 
 def _solve(problem, S: float, p: dict) -> str:
     """Run the bound-state search; levels are emitted in closed-form energy order."""
-    from . import solver  # deferred, in each solving runner: numpy and scipy load here
+    from . import solver  # deferred, in each solving runner: numpy loads here, scipy at the solve
 
     grid = solver.GridSpec(S=S, N=p["N"])
     result = solver.find_bound_states(problem, grid, p["nmax"], two_grid=p["order"])

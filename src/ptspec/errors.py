@@ -35,14 +35,28 @@ class ConvergenceFailure(PtspecError):
         self.iterations = iterations
 
 
+def _shown(value) -> str:
+    """str(value), or the size of an integer too long for Python to print (past 4,300 digits)."""
+    try:
+        return str(value)
+    except ValueError:
+        return f"{'a negative' if value < 0 else 'an'} integer of {value.bit_length()} bits"
+
+
 def check_finite(name: str, value: float, *fields) -> None:
-    """DomainError unless value is finite (NaN and +-inf refused).
+    """DomainError unless value is finite as a float: NaN, +-inf and an integer
+    past the float range are refused.
 
     name.format(*fields) names the value, formatted only on refusal: a check
     inside a sweep costs no string formatting.
     """
-    if not math.isfinite(value):
-        raise DomainError(f"{name.format(*fields)} must be finite, got {value}")
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:  # an integer past the float range: infinite as a float
+        finite = False
+    if not finite:
+        name = name.format(*map(_shown, fields))
+        raise DomainError(f"{name} must be finite, got {_shown(value)}")
 
 
 def check_count(name: str, value: int, minimum: int) -> None:
@@ -54,12 +68,12 @@ def check_count(name: str, value: int, minimum: int) -> None:
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value}")
+        raise DomainError(f"{name} must be >= {minimum}, got {_shown(value)}")
     if value > 2**53:
-        raise DomainError(f"{name} must be <= 2**53, got {value}")
+        raise DomainError(f"{name} must be <= 2**53, got {_shown(value)}")
 
 
 def check_sign(name: str, value: int) -> None:
     """DomainError unless value is +1 or -1; a bool is refused."""
     if isinstance(value, bool) or value not in (1, -1):
-        raise DomainError(f"{name} must be +1 or -1, got {value}")
+        raise DomainError(f"{name} must be +1 or -1, got {_shown(value)}")

@@ -29,11 +29,14 @@ conjugate-reflection identity of PT-symmetric inputs exact in floating point.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Optional
 
 import numpy as np
@@ -377,7 +380,7 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             f"matrix size {n} exceeds the dense-solver ceiling {DENSE_CEILING}; "
             "use targeted_eigenvalue"
         )
-    import scipy.linalg  # deferred: closed-form commands start without scipy
+    import scipy.linalg  # deferred: the solving commands load no scipy.linalg (_banded_lapack)
 
     try:
         if op.pt_defect() != 0.0:
@@ -456,6 +459,33 @@ class TargetedResult:
     residual: float
 
 
+@cache
+def _banded_lapack() -> tuple:
+    """LAPACK zgbtrf and zgbtrs, loaded without running scipy.linalg's __init__.
+
+    import scipy.linalg would cost a cold solving command about half its
+    time, most of it in scipy's array-API shim, which loads numpy submodules
+    ptspec never uses.  The two routines live in scipy's compiled LAPACK
+    extension scipy.linalg._flapack, which is loaded here on its own, after
+    scipy's package init (its DLL setup on Windows).  They are the same objects
+    as scipy.linalg.lapack.zgbtrf and zgbtrs, whichever of the two loads first.
+    """
+    import scipy  # deferred: closed-form commands start without scipy
+
+    spec = importlib.machinery.PathFinder.find_spec(
+        "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")]
+    )
+    if spec is None:
+        # _flapack is private: a scipy release or an editable install that
+        # moves it should cost speed, not correctness
+        from scipy.linalg import lapack
+
+        return lapack.zgbtrf, lapack.zgbtrs
+    flapack = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(flapack)
+    return flapack.zgbtrf, flapack.zgbtrs
+
+
 def _shifted_solver(op: DiscretizedOperator, shift: complex):
     """One banded LU of (op - shift*I); returns the shift used and solve(v).
 
@@ -468,9 +498,7 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
     ValueError (gbtrs would write through the flag); either LAPACK failure
     raises ConvergenceFailure.
     """
-    from scipy.linalg import get_lapack_funcs  # deferred: see full_spectrum
-
-    gbtrf, gbtrs = get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
+    gbtrf, gbtrs = _banded_lapack()
 
     def factor(shift: complex) -> tuple:
         # 2*kl + ku + 1 rows for kl = ku = 1; column-major, so gbtrf factors it in place
@@ -866,6 +894,7 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
     part is accepted when its residual meets targeted_eigenvalue's rule
     (_residual_bound).
     """
+    # deferred: see full_spectrum (scipy.sparse.linalg loads scipy.linalg)
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
 
     n = op.size

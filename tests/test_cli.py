@@ -436,7 +436,7 @@ class TestDeterminismAndOutput:
         assert not target.parent.exists()
 
 
-_WATCHED = ("numpy", "ptspec.solver", "scipy", "scipy.linalg")
+_WATCHED = ("numpy", "ptspec.solver", "scipy", "scipy.linalg", "scipy.sparse")
 
 
 def loaded_after(code: str) -> set:
@@ -460,11 +460,13 @@ def loaded_after(code: str) -> set:
     ("figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400", set()),
     ("stability --mass-sign neg --contour ushaped", set()),
     ("contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400", {"numpy"}),
-    ("solve oscillator --nmax 0 --N 16", set(_WATCHED)),
+    ("solve oscillator --nmax 0 --N 16", {"numpy", "ptspec.solver", "scipy"}),
 ], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve"])
 def test_what_each_command_loads(command, loaded):
     """Cold start: the closed forms load neither numpy nor the solver, and scipy
-    loads only for a solve, which also shows that the check sees a load."""
+    loads only for a solve, which also shows that the check sees a load.  A
+    solve loads scipy's LAPACK extension alone: neither scipy.linalg nor
+    scipy.sparse."""
     code = "import ptspec"
     if command is not None:
         code = textwrap.dedent(f"""

@@ -1,6 +1,13 @@
+import importlib.machinery
+import json
 import math
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -35,10 +42,21 @@ from ptspec.solver import (
 )
 
 DEEP = -((1 / 0.6) ** 2)  # n=0, sigma=-1 level at Z=1, L=0.3
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ck_problem(Z=1.0, L=0.3, eps=1.0):
     return BoundStateProblem(UShaped(eps), CoulombKratzer(Z), L, -1)
+
+
+def _fresh_json(code: str):
+    """The JSON that code prints, run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
 
 
 class TestGridSpec:
@@ -554,6 +572,62 @@ class TestTargeted:
             solve(start)
         np.testing.assert_array_equal(start, before)
 
+    def test_banded_lapack_is_scipys(self):
+        import scipy.linalg
+
+        gbtrf, gbtrs = solver._banded_lapack()
+        assert gbtrf is scipy.linalg.lapack.zgbtrf
+        assert gbtrs is scipy.linalg.lapack.zgbtrs
+
+    def test_banded_lapack_falls_back_without_the_extension_spec(self, monkeypatch):
+        import scipy.linalg
+
+        find_spec, asked = importlib.machinery.PathFinder.find_spec, []
+
+        def no_flapack(name, path=None, target=None):
+            if name == "scipy.linalg._flapack":
+                asked.append(name)
+                return None
+            return find_spec(name, path, target)
+
+        monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
+        solver._banded_lapack.cache_clear()
+        try:
+            gbtrf, gbtrs = solver._banded_lapack()
+        finally:
+            solver._banded_lapack.cache_clear()
+        assert asked == ["scipy.linalg._flapack"]
+        assert gbtrf is scipy.linalg.lapack.zgbtrf
+        assert gbtrs is scipy.linalg.lapack.zgbtrs
+
+    def test_banded_lapack_before_or_after_scipy_linalg(self):
+        # a fresh interpreter, since this process has scipy.linalg loaded: a
+        # search run before import scipy.linalg gives the bits of one run after
+        search = textwrap.dedent("""
+            from ptspec import solver
+            from ptspec.contour import UShaped
+            from ptspec.model import CoulombKratzer
+            problem = solver.BoundStateProblem(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1)
+            res = solver.find_bound_states(problem, solver.GridSpec(15.0, 400), 2)
+            cold = "scipy.linalg" not in sys.modules
+        """)
+        report = textwrap.dedent("""
+            import scipy.linalg
+            gbtrf, gbtrs = solver._banded_lapack()
+            print(json.dumps({
+                "cold": cold,
+                "same": gbtrf is scipy.linalg.lapack.zgbtrf and gbtrs is scipy.linalg.lapack.zgbtrs,
+                "levels": [None if r.eigenvalue is None else
+                           [r.eigenvalue.real.hex(), r.eigenvalue.imag.hex()] for r in res.levels],
+            }))
+        """)
+        after = _fresh_json("import json, sys\n" + search + report)
+        before = _fresh_json("import json, sys\nimport scipy.linalg\n" + search + report)
+        assert (after["cold"], before["cold"]) == (True, False)
+        assert after["same"] is True and before["same"] is True
+        assert after["levels"] == before["levels"]
+        assert any(level is not None for level in after["levels"])
+
     @pytest.mark.parametrize("case", ["A1 deep level", "oscillator", "iteration cap"])
     def test_same_bits_as_plain_loop(self, case):
         if case == "A1 deep level":
@@ -986,21 +1060,30 @@ _FINITE = {
 }
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+# Python prints no integer past 4,300 digits: a refusal names its size instead
+_UNPRINTABLE = {10**5000: "an integer of 16610 bits", -(10**5000): "a negative integer of 16610 bits"}
+
+
+@pytest.mark.parametrize("value", [
+    math.nan, math.inf, -math.inf,
+    # integers past the float range are infinite as floats
+    pytest.param(10**400, id="10**400"), pytest.param(-(10**5000), id="-10**5000"),
+])
 @pytest.mark.parametrize("entry", _FINITE.values(), ids=_FINITE)
 def test_non_finite_L_is_a_domain_error(entry, value):
     # L and every other finite rule: refused before any NaN band or numpy warning
     name, call = entry
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(DomainError, match=re.escape(name) + ".* must be finite, got "):
+        with pytest.raises(DomainError, match=re.escape(name) + ".* must be finite, got ") as exc:
             call(value)
+    assert _UNPRINTABLE.get(value, "") in str(exc.value)
 
 
-_BAD_COUNTS = (-1, 1.5, 2.0, True, "2")
+_BAD_COUNTS = (-1, 1.5, 2.0, True, "2", -(10**5000))
 # past 2**53 a count no longer fits a float exactly (10**400 none at all); the
 # n_max of a table is tried in tests/test_cli.py, in a memory-capped process
-_TOO_BIG = (2**53 + 1, 10**160, 10**400)
+_TOO_BIG = (2**53 + 1, 10**160, 10**400, 10**5000)
 # every count, one table: (name, minimum, call, bad values); errors.check_count
 _COUNTS = {
     "spectrum_table": ("n_max", 0, lambda n: spectrum_table(1.0, 0.3, n, -1), _BAD_COUNTS),
@@ -1027,10 +1110,11 @@ def test_n_max_checked_once(entry):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for bad in bad_values:
+            shown = _UNPRINTABLE.get(bad, bad)
             if type(bad) is int and bad > 2**53:
-                match = f"^{name} must be <= 2\\*\\*53, got {bad}$"
+                match = f"^{name} must be <= 2\\*\\*53, got {shown}$"
             elif type(bad) is int:
-                match = f"{name} must be >= {minimum}, got {bad}"
+                match = f"{name} must be >= {minimum}, got {shown}"
             else:
                 match = re.escape(f"{name} must be an integer, got {bad!r}")
             with pytest.raises(DomainError, match=match):
