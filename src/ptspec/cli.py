@@ -84,13 +84,10 @@ def _run_contour_sample(p: dict) -> str:
     check_count("n", p["n"], 1)
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
-    s = _linspace(p["smin"], p["smax"], p["n"])
-    x = evaluate(contour, s)
-    dx = derivatives(contour, s)
-    rows = (
-        (si, float(xi.real), float(xi.imag), float(di.real), float(di.imag))
-        for si, xi, di in zip(s, x, dx)
-    )
+    # one float at a time: a float's path runs on math and cmath, without numpy
+    points = ((s, evaluate(contour, s), derivatives(contour, s))
+              for s in _linspace(p["smin"], p["smax"], p["n"]))
+    rows = ((s, x.real, x.imag, dx.real, dx.imag) for s, x, dx in points)
     return _table(p["format"], "rows", ("s", "re_x", "im_x", "re_dx", "im_dx"), rows)
 
 
@@ -134,12 +131,12 @@ def _run_spectrum_numeric(p: dict) -> str:
 
 def _run_figure3(p: dict) -> str:
     check_count("grid_n", p["grid_n"], 2)
+    analytic.check_rows(p["nmax"], p["grid_n"])  # before the grid is built
     if not 0 < p["grid_min"] < p["grid_max"]:
         raise UsageError("require 0 < grid_min < grid_max")
     base = _linspace(p["grid_min"], p["grid_max"], p["grid_n"])
     # keep the collapse points visible: splice in each 2n+1, n <= nmax, inside
-    # the sweep, where the level (n, -1) has a vanishing denominator; the odd
-    # numbers stop below grid_max, so a huge nmax reaches figure3_data's check
+    # the sweep, where the level (n, -1) has a vanishing denominator
     odd = range(1, min(2 * p["nmax"] + 2, math.ceil(p["grid_max"])), 2)
     ts = sorted(set(base).union(float(t) for t in odd if p["grid_min"] < t))
     rows = (

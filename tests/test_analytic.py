@@ -7,7 +7,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptspec.analytic import (
+    MAX_ROWS,
     Reparametrization,
+    check_rows,
     figure3_data,
     ground_state_bruteforce,
     ground_state_comparison,
@@ -94,6 +96,17 @@ def test_spectrum_table_refuses_integer_L():
         for L, n_max in [(1.0, 2), (5.0, 1)]:
             with pytest.raises(SingularL, match="integer L"):
                 spectrum_table(Z=1.0, L=L, n_max=n_max, mass_sign=-1)
+
+
+def test_tables_refused_past_max_rows():
+    # spectrum_table and figure3_data share one bound, checked before any row
+    # is built: exactly MAX_ROWS rows pass, one level more is refused
+    check_rows(MAX_ROWS // 2 - 1)
+    check_rows(0, MAX_ROWS // 2)
+    with pytest.raises(DomainError, match=f"^n_max = {MAX_ROWS // 2} makes a table of"):
+        spectrum_table(Z=1.0, L=0.3, n_max=MAX_ROWS // 2, mass_sign=-1)
+    with pytest.raises(DomainError, match="over 3 points makes a table of 1000002 rows"):
+        figure3_data(1.0, iter([0.5, 1.5, 2.5]), n_max=166666)
 
 
 def test_spectrum_table_z_scaling():

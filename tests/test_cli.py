@@ -155,11 +155,24 @@ class TestSpectrumNumeric:
         (("figure3", "--Z", "1e308", "--grid-n", "2", "--grid-min", "0.5", "--grid-max", "0.6",
           "--nmax", "0", "--format", "json"),
          "kappa(n=0, sigma=-1) at 2L+1 = 0.5, Z = 1e+308 must be finite, got -inf"),
+        # a table past 10**6 rows is refused before it is built
+        (("spectrum", "analytic", "--Z", "1", "--L", "0.3", "--nmax", "500000"),
+         "n_max = 500000 makes a table of 1000002 rows, more than 1000000"),
+        (("spectrum", "analytic", "--Z", "1", "--L", "0.3", "--nmax", "100000000"),
+         "n_max = 100000000 makes a table of 200000002 rows, more than 1000000"),
+        # 1000 x 2(499 + 1) rows pass the check before the grid is built, but
+        # the three spliced collapse points 1, 3, 5 take the table past it
+        (("figure3", "--grid-n", "1000", "--nmax", "499"),
+         "n_max = 499 over 1003 points makes a table of 1003000 rows, more than 1000000"),
+        (("figure3", "--grid-n", "100000000", "--nmax", "0"),
+         "n_max = 0 over 100000000 points makes a table of 200000000 rows, more than 1000000"),
+        (("figure3", "--grid-n", "2", "--nmax", "100000000"),
+         "n_max = 100000000 over 2 points makes a table of 400000004 rows, more than 1000000"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
-        # a collapsed L, a reach below S, a negative n_max and an overflowed
-        # level, in the search and the closed form alike: exit 1, one line, no
-        # warning before it
+        # a collapsed L, a reach below S, a negative n_max, an overflowed level
+        # and a table past its bound, in the search and the closed form alike:
+        # exit 1, one line, no warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -454,25 +467,29 @@ def loaded_after(code: str) -> set:
     return set(json.loads(proc.stdout))
 
 
-@pytest.mark.parametrize("command,loaded", [
-    (None, set()),
-    ("spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv", set()),
-    ("figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400", set()),
-    ("stability --mass-sign neg --contour ushaped", set()),
-    ("contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400", {"numpy"}),
-    ("solve oscillator --nmax 0 --N 16", {"numpy", "ptspec.solver", "scipy"}),
-], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve"])
-def test_what_each_command_loads(command, loaded):
-    """Cold start: the closed forms load neither numpy nor the solver, and scipy
-    loads only for a solve, which also shows that the check sees a load.  A
-    solve loads scipy's LAPACK extension alone: neither scipy.linalg nor
-    scipy.sparse."""
-    code = "import ptspec"
-    if command is not None:
-        code = textwrap.dedent(f"""
-            import contextlib, io
-            import ptspec.cli
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert ptspec.cli.main({command.split()!r}) == 0
-        """)
+def _cli(command: str) -> str:
+    """Code that runs one CLI command in-process, its stdout discarded."""
+    return textwrap.dedent(f"""
+        import contextlib, io
+        import ptspec.cli
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert ptspec.cli.main({command.split()!r}) == 0
+    """)
+
+
+@pytest.mark.parametrize("code,loaded", [
+    ("import ptspec", set()),
+    (_cli("spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv"), set()),
+    (_cli("figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400"), set()),
+    (_cli("stability --mass-sign neg --contour ushaped"), set()),
+    (_cli("contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400"), set()),
+    (_cli("solve oscillator --nmax 0 --N 16"), {"numpy", "ptspec.solver", "scipy"}),
+    ("import ptspec; ptspec.evaluate(ptspec.UShaped(1.0), 0.5); "
+     "ptspec.derivatives(ptspec.UShaped(1.0), -2.0)", set()),
+], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve", "path_of_a_float"])
+def test_what_each_command_loads(code, loaded):
+    """Cold start: the closed forms and the path of a float load neither numpy
+    nor the solver, and scipy loads only for a solve, which also shows that the
+    check sees a load.  A solve loads scipy's LAPACK extension alone: neither
+    scipy.linalg nor scipy.sparse."""
     assert loaded_after(code) == loaded

@@ -1,8 +1,10 @@
+import cmath
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ptspec.contour import (
@@ -148,3 +150,55 @@ def test_nonfinite_phi_rejected():
     for phi in (math.nan, math.inf, -math.inf):
         with pytest.raises(DomainError, match=f"^phi must be finite, got {phi}$"):
             StraightLine(phi)
+
+
+def _bits(z) -> bytes:
+    return struct.pack("<2d", z.real, z.imag)
+
+
+@st.composite
+def _path_points(draw):
+    contour = draw(st.one_of(
+        st.just(UShaped(0.0)),
+        st.builds(UShaped, st.floats(1e-3, 10.0)),
+        st.builds(StraightLine, st.floats(-math.pi, math.pi)),
+    ))
+    c = contour.junction if isinstance(contour, UShaped) else 0.0
+    edges = (c, -c, math.nextafter(c, math.inf), math.nextafter(-c, -math.inf), 0.0, -0.0)
+    return contour, draw(st.one_of(st.floats(-1e3, 1e3), st.sampled_from(edges)))
+
+
+@given(point=_path_points())
+@example(point=(UShaped(1.0), UShaped(1.0).junction))
+@example(point=(UShaped(1.0), -UShaped(1.0).junction))
+@example(point=(UShaped(1.0), 0.0))
+@example(point=(UShaped(1.0), -0.0))
+@example(point=(UShaped(0.0), -0.0))
+@example(point=(StraightLine(-0.3), -0.0))
+@settings(max_examples=500, deadline=None)
+def test_path_of_a_float_is_the_array_path_bit_for_bit(point):
+    # a float (numpy's float64 included) runs on math and cmath, an array on
+    # numpy: the same bits, signed zeros included, and a complex for a scalar
+    contour, s = point
+    for f in (evaluate, derivatives):
+        want = _bits(f(contour, np.array([s]))[0])
+        assert type(f(contour, s)) is complex
+        assert _bits(f(contour, s)) == want
+        assert _bits(f(contour, np.float64(s))) == want
+        if s.is_integer():
+            assert _bits(f(contour, int(s))) == _bits(f(contour, np.array([int(s)]))[0])
+
+
+@pytest.mark.parametrize("contour, s, x, xp", [
+    (UShaped(1.0), -0.0, complex(0.0, -1.0), complex(1.0, 0.0)),
+    (UShaped(0.0), -0.0, complex(0.0, 0.0), complex(0.0, 1.0)),
+    (StraightLine(0.3), -0.0, complex(-0.0, 0.0), cmath.exp(0.3j)),
+    (StraightLine(-0.3), -0.0, complex(0.0, 0.0), cmath.exp(-0.3j)),
+    (StraightLine(3.0), 0.0, complex(-0.0, 0.0), cmath.exp(3j)),
+    (StraightLine(3.0), -0.0, complex(0.0, -0.0), cmath.exp(3j)),
+], ids=repr)
+def test_signed_zeros_at_the_origin(contour, s, x, xp):
+    # the zeros that complex arithmetic gives, a real s taken as s + 0i
+    for arg, first in ((s, lambda z: z), (np.array([s]), lambda z: z[0])):
+        assert _bits(first(evaluate(contour, arg))) == _bits(x)
+        assert _bits(first(derivatives(contour, arg))) == _bits(xp)
