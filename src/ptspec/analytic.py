@@ -12,9 +12,9 @@ keyed by (n, sigma), never by its energy ordering, which changes with L.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import DomainError, check_count, check_finite, check_sign
+from .errors import DomainError, _Record, check_count, check_finite, check_sign
 from .model import check_L, collapses
 
 __all__ = [
@@ -30,8 +30,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Level:
+class Level(NamedTuple):
     """One discrete eigenvalue: index n, branch sigma, energy, decay rate kappa."""
 
     n: int
@@ -40,8 +39,7 @@ class Level:
     kappa: float
 
 
-@dataclass(frozen=True)
-class Reparametrization:
+class Reparametrization(_Record):
     """2L+1 split into its integer part M0 and a residuum angle alpha.
 
     2L + 1 = M0 + cos^2(alpha) with M0 >= 0 and alpha in the open interval
@@ -51,12 +49,11 @@ class Reparametrization:
     M0: int
     alpha: float
 
-    def __post_init__(self):
-        check_count("M0", self.M0, 0)
-        if not 0.0 < self.alpha < 0.5 * math.pi:
-            raise DomainError(
-                f"residuum angle must lie strictly inside (0, pi/2), got {self.alpha}"
-            )
+    def __init__(self, M0: int, alpha: float):
+        check_count("M0", M0, 0)
+        if not 0.0 < alpha < 0.5 * math.pi:
+            raise DomainError(f"residuum angle must lie strictly inside (0, pi/2), got {alpha}")
+        self.__dict__.update(M0=M0, alpha=alpha)
 
     @property
     def two_L_plus_1(self) -> float:
@@ -67,8 +64,7 @@ class Reparametrization:
         return 0.5 * (self.two_L_plus_1 - 1.0)
 
 
-@dataclass(frozen=True)
-class Figure3Row:
+class Figure3Row(NamedTuple):
     """One sweep sample; minus_kappa is None on a gap record (singular point)."""
 
     two_L_plus_1: float
@@ -110,16 +106,20 @@ def level(Z: float, L: float, n: int, sigma: int, mass_sign: int) -> Level:
 MAX_ROWS = 10**6
 
 
+def check_table(rows: int, source: str, *fields) -> None:
+    """DomainError past MAX_ROWS rows; source.format(*fields) names what makes
+    the table, formatted only on refusal."""
+    if rows > MAX_ROWS:
+        source = source.format(*fields)
+        raise DomainError(f"{source} makes a table of {rows} rows, more than {MAX_ROWS}")
+
+
 def check_rows(n_max: int, points: int = 1) -> None:
     """DomainError unless n_max is a count and `points` samples of the levels
     n <= n_max, both branches, make a table of at most MAX_ROWS rows."""
     check_count("n_max", n_max, 0)
-    rows = points * 2 * (n_max + 1)
-    if rows > MAX_ROWS:
-        over = f" over {points} points" if points != 1 else ""
-        raise DomainError(
-            f"n_max = {n_max}{over} makes a table of {rows} rows, more than {MAX_ROWS}"
-        )
+    over = " over {} points" if points != 1 else ""
+    check_table(points * 2 * (n_max + 1), "n_max = {}" + over, n_max, points)
 
 
 def spectrum_table(Z: float, L: float, n_max: int, mass_sign: int) -> list[Level]:
@@ -160,17 +160,18 @@ def figure3_data(Z: float, grid_of_2Lp1, n_max: int = 4) -> list[Figure3Row]:
 
 
 def ground_state_compact_formula(Z: float, rep: Reparametrization) -> float:
-    """Compact ground-state closed form -Z^2 / min(sin^2 a, cos^2 a).
+    """Compact ground-state closed form -Z^2 / d^2 of the negative-mass table.
 
-    Kept as published for cross-checking; ground_state_bruteforce is the
-    oracle (ground_state_comparison measures the discrepancy between them).
+    d is the distance from 2L+1 = M0 + cos^2(alpha) to the nearest odd
+    integer, the smallest |2L+1 + sigma(2n+1)|: sin^2(alpha) for even M0 (the
+    odd integer M0+1 lies above), cos^2(alpha) for odd M0 (M0 itself lies
+    below).  ground_state_bruteforce, the minimum over the level table, is
+    the oracle it is checked against (ground_state_comparison).
     """
-    s2 = math.sin(rep.alpha) ** 2
-    c2 = math.cos(rep.alpha) ** 2
-    m = min(s2, c2)
-    if m == 0.0:
+    d = math.sin(rep.alpha) ** 2 if rep.M0 % 2 == 0 else math.cos(rep.alpha) ** 2
+    if d * d == 0.0:
         raise DomainError("residuum angle at an excluded limiting value")
-    return -Z * Z / m
+    return -Z * Z / (d * d)
 
 
 def ground_state_bruteforce(Z: float, L: float, n_max: int = 10) -> Level:
@@ -182,9 +183,8 @@ def ground_state_comparison(Z: float, rep: Reparametrization, n_max: int = 10) -
     """Evaluate both ground-state routes on the same reparametrized coupling.
 
     Returns the compact-formula value, the brute-force Level, and their
-    absolute difference.  The two disagree away from removable coincidences:
-    the brute-force minimum scales with the fourth power of the residuum
-    near the excluded angles, the compact formula with the second.
+    absolute difference.  The difference is at rounding level once n_max
+    reaches n = M0 // 2, the level (n, -1) whose denominator is +-d.
     """
     brute = ground_state_bruteforce(Z, rep.L, n_max)
     compact = ground_state_compact_formula(Z, rep)

@@ -82,6 +82,7 @@ def _linspace(lo: float, hi: float, n: int) -> list:
 def _run_contour_sample(p: dict) -> str:
     contour = _pick_contour(p["kind"], p["epsilon"], p["phi"])
     check_count("n", p["n"], 1)
+    analytic.check_table(p["n"], "n = {}", p["n"])  # one row per sample
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
     # one float at a time: a float's path runs on math and cmath, without numpy

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
-from .errors import DomainError, check_finite
+from .errors import DomainError, _Record, check_finite
 
 __all__ = [
     "StraightLine",
@@ -24,18 +23,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class StraightLine:
+class StraightLine(_Record):
     """Two half-lines from the origin: s*exp(i*phi) for s >= 0, s*exp(-i*phi) below."""
 
-    phi: float = 0.0
+    phi: float
 
-    def __post_init__(self):
-        check_finite("phi", self.phi)
+    def __init__(self, phi: float = 0.0):
+        check_finite("phi", phi)
+        self.__dict__["phi"] = phi
 
 
-@dataclass(frozen=True)
-class UShaped:
+class UShaped(_Record):
     """Arc-length parametrized U path of width epsilon >= 0.
 
     epsilon = 0 is the degenerate fold (both branches on the upper imaginary
@@ -43,12 +41,13 @@ class UShaped:
     discretization.
     """
 
-    epsilon: float = 1.0
+    epsilon: float
 
-    def __post_init__(self):
-        check_finite("epsilon", self.epsilon)
-        if self.epsilon < 0:
-            raise DomainError(f"epsilon must be >= 0, got {self.epsilon}")
+    def __init__(self, epsilon: float = 1.0):
+        check_finite("epsilon", epsilon)
+        if epsilon < 0:
+            raise DomainError(f"epsilon must be >= 0, got {epsilon}")
+        self.__dict__["epsilon"] = epsilon
 
     @property
     def junction(self) -> float:

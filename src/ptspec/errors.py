@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the scalar checks that raise them.
+"""Exception types shared across the package, the scalar checks that raise them,
+and the base of the validated input records.
 
 Every scalar refusal of the package goes through check_finite, check_count or
 check_sign, so a rule and its message live in one place.
@@ -33,6 +34,44 @@ class ConvergenceFailure(PtspecError):
         super().__init__(message)
         self.residual = residual
         self.iterations = iterations
+
+
+class _Record:
+    """Base of the seven validated input records: the two contours, the two
+    potentials, Reparametrization, GridSpec and DiscretizedOperator.
+
+    Its fields are the names a subclass annotates; the subclass's __init__
+    checks its arguments and stores them in __dict__.  Two records are equal
+    when they are of one type and their fields are equal, so
+    StraightLine(0.0) != UShaped(0.0).  A record hashes by its fields, shows
+    as Type(field=value, ...), and refuses assignment and deletion.
+    Written out rather than generated by dataclasses, whose import loads
+    inspect, which the closed-form commands otherwise never load.
+    """
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(cls.__annotations__)
+
+    def _values(self) -> tuple:
+        return tuple(self.__dict__[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={self.__dict__[name]!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
 
 def _shown(value) -> str:

@@ -9,10 +9,12 @@ units.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contour import Contour, StraightLine, UShaped
-from .errors import DomainError, GeometryError, SingularL, check_count, check_finite, check_sign
+from .errors import (
+    DomainError, GeometryError, SingularL, _Record, check_count, check_finite, check_sign,
+)
 
 __all__ = [
     "CoulombKratzer",
@@ -33,8 +35,7 @@ PLANE_WAVE_PAIR = "plane_wave_pair"
 INTEGER_L_TOL = 1e-12  # the collapse rule's one tolerance, see collapses
 
 
-@dataclass(frozen=True)
-class CoulombKratzer:
+class CoulombKratzer(_Record):
     """V(x) = i*Z/x.
 
     The Kratzer term F/x^2 is carried by the centrifugal strength L,
@@ -43,20 +44,19 @@ class CoulombKratzer:
 
     Z: float
 
-    def __post_init__(self):
-        check_finite("Z", self.Z)
+    def __init__(self, Z: float):
+        check_finite("Z", Z)
+        self.__dict__["Z"] = Z
 
 
-@dataclass(frozen=True)
-class Oscillator:
+class Oscillator(_Record):
     """V(x) = x^2."""
 
 
 Potential = CoulombKratzer | Oscillator
 
 
-@dataclass(frozen=True)
-class StabilityVerdict:
+class StabilityVerdict(NamedTuple):
     bounded_below: bool
     narrative: str
 

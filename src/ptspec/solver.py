@@ -35,9 +35,8 @@ import math
 import os
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -47,7 +46,8 @@ from .analytic import Level
 # the name the bench tracer wraps
 from .contour import Contour, StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
 from .errors import (
-    ConvergenceFailure, DomainError, GeometryError, check_count, check_finite, check_sign,
+    ConvergenceFailure, DomainError, GeometryError, _Record, check_count, check_finite,
+    check_sign,
 )
 from .model import CoulombKratzer, Oscillator, Potential, check_L, evaluate_potential
 
@@ -85,8 +85,7 @@ _EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every st
 _SHARED: ContextVar[Optional[dict]] = ContextVar("ptspec_solver_shared", default=None)
 
 
-@dataclass(frozen=True)
-class GridSpec:
+class GridSpec(_Record):
     """N interior nodes uniform in t on [-S, S], step h = 2S/(N+1), Dirichlet ends.
 
     The node at t sits on the path at s = t, or, when stretched, at
@@ -97,15 +96,16 @@ class GridSpec:
 
     S: float
     N: int
-    stretched: bool = False
+    stretched: bool
 
-    def __post_init__(self):
-        check_finite("S", self.S)
-        if not self.S > 0:
-            raise DomainError(f"S must be > 0, got {self.S}")
-        check_count("N", self.N, 16)
-        if not isinstance(self.stretched, bool):
-            raise DomainError(f"stretched must be True or False, got {self.stretched!r}")
+    def __init__(self, S: float, N: int, stretched: bool = False):
+        check_finite("S", S)
+        if not S > 0:
+            raise DomainError(f"S must be > 0, got {S}")
+        check_count("N", N, 16)
+        if not isinstance(stretched, bool):
+            raise DomainError(f"stretched must be True or False, got {stretched!r}")
+        self.__dict__.update(S=S, N=N, stretched=stretched)
 
     @property
     def h(self) -> float:
@@ -185,8 +185,7 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class DiscretizedOperator:
+class DiscretizedOperator(_Record):
     """Complex tridiagonal matrix: diag (N >= 2), sub (N-1, row i+1 col i), sup (N-1).
 
     A band may be read-only and shared with other operators: discretize's
@@ -198,14 +197,15 @@ class DiscretizedOperator:
     sub: np.ndarray
     sup: np.ndarray
 
-    def __post_init__(self):
-        object.__setattr__(self, "diag", np.asarray(self.diag, dtype=complex))
-        object.__setattr__(self, "sub", np.asarray(self.sub, dtype=complex))
-        object.__setattr__(self, "sup", np.asarray(self.sup, dtype=complex))
-        n = self.diag.size
+    def __init__(self, diag: np.ndarray, sub: np.ndarray, sup: np.ndarray):
+        diag = np.asarray(diag, dtype=complex)
+        sub = np.asarray(sub, dtype=complex)
+        sup = np.asarray(sup, dtype=complex)
+        n = diag.size
         check_count("N", n, 2)
-        if self.sub.size != n - 1 or self.sup.size != n - 1:
+        if sub.size != n - 1 or sup.size != n - 1:
             raise DomainError("off-diagonal bands must have length N-1")
+        self.__dict__.update(diag=diag, sub=sub, sup=sup)
 
     @property
     def size(self) -> int:
@@ -243,8 +243,7 @@ class DiscretizedOperator:
         return float(max(d, np.max(np.abs(self.sub - np.conj(self.sup[::-1])))))
 
 
-@dataclass(frozen=True)
-class BoundStateProblem:
+class BoundStateProblem(NamedTuple):
     """Model bundle fed to find_bound_states."""
 
     contour: Contour
@@ -451,8 +450,7 @@ def _folded_matrix(P: tuple, K: tuple) -> np.ndarray:
     return r
 
 
-@dataclass(frozen=True)
-class TargetedResult:
+class TargetedResult(NamedTuple):
     eigenvalue: complex
     eigenvector: np.ndarray
     iterations: int
@@ -653,8 +651,7 @@ def eigenvector_asymptotics(eigenvector: np.ndarray, grid: GridSpec) -> dict:
     return {"left_rate": _fit(left), "right_rate": -_fit(right)}
 
 
-@dataclass(frozen=True)
-class LevelResult:
+class LevelResult(NamedTuple):
     """The search for one seeded level: what it found and, unless matched, why not.
 
     eigenvalue is None when the search did not converge; residual |lambda - E|
@@ -674,15 +671,13 @@ class LevelResult:
         return self.reason is None
 
 
-@dataclass(frozen=True)
-class TwoGridConvergence:
+class TwoGridConvergence(NamedTuple):
     error_ratios: dict
     order_estimate: Optional[float]
     fine: SpectrumResult
 
 
-@dataclass(frozen=True)
-class SpectrumResult:
+class SpectrumResult(NamedTuple):
     """One LevelResult per seeded level, in closed-form table order, and their grid."""
 
     levels: list

@@ -204,12 +204,13 @@ class TestFigure3:
 
 class TestGroundState:
     def test_compact_formula_at_pi_over_four(self):
+        # 2L+1 = 1.5, half a unit from the odd integer 1: -1 / 0.5^2
         rep = Reparametrization(M0=1, alpha=math.pi / 4)
-        assert ground_state_compact_formula(1.0, rep) == pytest.approx(-2.0, rel=1e-12)
+        assert ground_state_compact_formula(1.0, rep) == pytest.approx(-4.0, rel=1e-12)
 
     def test_compact_formula_z_scaling(self):
         rep = Reparametrization(M0=1, alpha=math.pi / 4)
-        assert ground_state_compact_formula(2.0, rep) == pytest.approx(-8.0, rel=1e-12)
+        assert ground_state_compact_formula(2.0, rep) == pytest.approx(-16.0, rel=1e-12)
 
     def test_compact_formula_diverges_near_edges(self):
         rep = Reparametrization(M0=0, alpha=1e-8)
@@ -255,9 +256,9 @@ class TestGroundState:
                 -1.0 / residuum**2, rel=1e-12
             )
             assert report["compact_formula"] == pytest.approx(
-                -1.0 / min(math.sin(alpha) ** 2, math.cos(alpha) ** 2), rel=1e-12
+                report["bruteforce"].energy, rel=1e-12
             )
-            assert report["abs_difference"] > 0
+            assert report["abs_difference"] <= 1e-12 * abs(report["compact_formula"])
 
     @given(
         M0=st.integers(0, 5),

@@ -7,7 +7,6 @@ edit the matched and unmatched lists.  bench/tracing.TARGETS names the
 package attributes the traced run wraps; each must still exist.
 """
 
-import dataclasses
 import importlib
 import importlib.util
 import sys
@@ -54,15 +53,15 @@ def test_unedited_result_passes(result):
 
 def test_perturbed_eigenvalue_caught(result):
     first = result.matched[0]
-    bad = dataclasses.replace(first, eigenvalue=first.eigenvalue + 0.05)
+    bad = first._replace(eigenvalue=first.eigenvalue + 0.05)
     levels = [bad if r is first else r for r in result.levels]
     with pytest.raises(workloads.CheckFailed, match="off by"):
-        _check(dataclasses.replace(result, levels=levels))
+        _check(result._replace(levels=levels))
 
 
 def test_dropped_seed_caught(result):
     with pytest.raises(workloads.CheckFailed, match="not seeded"):
-        _check(dataclasses.replace(result, levels=result.matched))
+        _check(result._replace(levels=result.matched))
 
 
 @pytest.mark.parametrize(

@@ -168,6 +168,8 @@ class TestSpectrumNumeric:
          "n_max = 0 over 100000000 points makes a table of 200000000 rows, more than 1000000"),
         (("figure3", "--grid-n", "2", "--nmax", "100000000"),
          "n_max = 100000000 over 2 points makes a table of 400000004 rows, more than 1000000"),
+        (("contour", "sample", "--n", "1000001"),
+         "n = 1000001 makes a table of 1000001 rows, more than 1000000"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
         # a collapsed L, a reach below S, a negative n_max, an overflowed level

@@ -64,8 +64,19 @@ def test_underscore_probe_loads_nothing():
 
 
 def test_five_exception_classes():
-    # every refusal raises one of five classes; the scalar checks are not exported
-    classes = {n for n, v in vars(errors).items() if isinstance(v, type)}
+    # every refusal raises one of five classes; the scalar checks and the
+    # records' base class (_Record) are not exported
+    classes = {
+        n for n, v in vars(errors).items() if isinstance(v, type) and issubclass(v, BaseException)
+    }
     assert classes == set(errors.__all__) == {
         "PtspecError", "DomainError", "SingularL", "GeometryError", "ConvergenceFailure",
     }
+
+
+def test_cli_loads_neither_dataclasses_nor_inspect():
+    # the records are written out (errors._Record, typing.NamedTuple): generating
+    # them with dataclasses would load inspect into every closed-form command
+    loaded = _fresh("import json, sys, ptspec.cli; "
+                    "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    assert loaded == []
