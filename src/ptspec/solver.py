@@ -33,6 +33,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import sys
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import cache, cached_property
@@ -459,29 +460,38 @@ class TargetedResult(NamedTuple):
 
 @cache
 def _banded_lapack() -> tuple:
-    """LAPACK zgbtrf and zgbtrs, loaded without running scipy.linalg's __init__.
+    """LAPACK zgbtrf and zgbtrs, loaded without running any of scipy's __init__.
 
     import scipy.linalg would cost a cold solving command about half its
-    time, most of it in scipy's array-API shim, which loads numpy submodules
-    ptspec never uses.  The two routines live in scipy's compiled LAPACK
-    extension scipy.linalg._flapack, which is loaded here on its own, after
-    scipy's package init (its DLL setup on Windows).  They are the same objects
-    as scipy.linalg.lapack.zgbtrf and zgbtrs, whichever of the two loads first.
+    time, and even scipy's top-level __init__ loads test and version helpers
+    a solve never uses.  The routines live in scipy's compiled LAPACK
+    extension scipy.linalg._flapack: importlib.util.find_spec locates scipy
+    without running it, and the extension is loaded from there on its own
+    and entered in sys.modules, where a later import scipy.linalg finds it.
+    The fallback is scipy.linalg.lapack, the same function objects: when
+    scipy has no spec (it raises ModuleNotFoundError), when the extension is
+    not where expected, or when loading it raises ImportError or OSError, as
+    it can where scipy's __init__ sets up DLL paths (Windows).
     """
-    import scipy  # deferred: closed-form commands start without scipy
-
-    spec = importlib.machinery.PathFinder.find_spec(
-        "scipy.linalg._flapack", [os.path.join(scipy.__path__[0], "linalg")]
+    name = "scipy.linalg._flapack"
+    scipy = importlib.util.find_spec("scipy")  # locates the package, runs none of it
+    spec = None if scipy is None else importlib.machinery.PathFinder.find_spec(
+        name, [os.path.join(scipy.submodule_search_locations[0], "linalg")]
     )
-    if spec is None:
-        # _flapack is private: a scipy release or an editable install that
-        # moves it should cost speed, not correctness
-        from scipy.linalg import lapack
+    if spec is not None:
+        try:  # an extension runs its init code in module_from_spec already
+            flapack = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(flapack)
+        except (ImportError, OSError):
+            pass
+        else:
+            flapack = sys.modules.setdefault(name, flapack)
+            return flapack.zgbtrf, flapack.zgbtrs
+    # _flapack is private: a scipy release or an editable install that moves
+    # it should cost speed, not correctness
+    from scipy.linalg import lapack
 
-        return lapack.zgbtrf, lapack.zgbtrs
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.zgbtrf, flapack.zgbtrs
+    return lapack.zgbtrf, lapack.zgbtrs
 
 
 def _shifted_solver(op: DiscretizedOperator, shift: complex):
@@ -570,24 +580,38 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
 
     Every search starts from a copy of _start_vector(N), so a result depends
     only on the operator and the shift.  A step allocates
-    nothing of size N: the solve works in the iterate's storage, op v and
-    op v - lambda v go into two buffers made once per search, each 2-norm
-    is sqrt(re.re + im.im), the sum np.linalg.norm forms, and the iterate
-    is scaled by 1/norm as numpy's division by a real scales it.  The
-    results are the bits the plain matvec/norm/divide loop gives.
+    nothing of size N: the solve works in the iterate's storage, two
+    buffers made once per search hold the unit iterate u the step starts
+    from, op v and op v - lambda v, each 2-norm is sqrt(re.re + im.im), the
+    sum np.linalg.norm forms, and the iterate is scaled by 1/norm as numpy's
+    division by a real scales it.
+
+    A step that cannot stop forms neither op v, lambda nor the residual.
+    With w = (op - shift)^-1 u, norm = ||w|| and v = w / norm,
+    (op - shift) v = u / norm, so ||op v - lambda v|| = sqrt(1 - |v^H u|^2)
+    / norm exactly (Ipsen, SIAM Rev. 39, 254, 1997), and |lambda| <=
+    |shift| + 1/norm.  Below the cap, a step whose gap 1 - |v^H u|^2
+    exceeds 1e-8 and whose screen sqrt(gap) / norm exceeds four times the
+    stopping rule at |shift| + 1/norm, plus 64 eps (||op||_inf + |shift|)
+    for the banded LU's backward error (Higham, as above), goes straight to
+    the next solve.  The iterates do not depend on lambda, so the results
+    are the bits the plain matvec/norm/divide loop gives, which forms the
+    residual at every step.
     """
     n = op.size
     # formed (and cached) before the LU and the buffers below hold memory:
     # at the first step's _residual_bound its temporaries would add to them
     op.norm_inf
     shift, solve = _shifted_solver(op, shift)
+    margin = 64.0 * _EPS * (op.norm_inf + abs(shift))  # the banded LU's backward error
     v = _start_vector(n).copy()
     hv = np.empty(n, dtype=complex)  # op v, then op v - lambda v
-    work = np.empty(n, dtype=complex)  # off-diagonal products, then lambda v
+    work = np.empty(n, dtype=complex)  # u, then off-diagonal products, then lambda v
     lam = complex(shift)
     residual = math.inf
     for iteration in range(1, INVERSE_ITERATION_CAP + 1):
-        v = solve(v)  # in place: the iterate's storage now holds (op - shift)^-1 v
+        np.copyto(work, v)  # u, the unit iterate this step starts from
+        v = solve(v)  # in place: the iterate's storage now holds (op - shift)^-1 u
         v_re, v_im = v.real, v.imag
         norm = math.sqrt(v_re.dot(v_re) + v_im.dot(v_im))
         if not math.isfinite(norm) or norm == 0.0:
@@ -596,6 +620,11 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
         # extra re*0 and im*0 terms can change only the sign of a zero part)
         parts = v.view(float)
         np.multiply(parts, 1.0 / norm, out=parts)
+        if iteration < INVERSE_ITERATION_CAP:  # the screen: can this step stop?
+            gap = 1.0 - abs(np.vdot(v, work)) ** 2
+            bound = max(_residual_bound(abs(shift) + 1.0 / norm, op))
+            if gap > 1e-8 and math.sqrt(gap) / norm > 4.0 * bound + margin:
+                continue
         op._matvec_into(v, hv, work)
         lam = complex(np.vdot(v, hv))
         hv -= np.multiply(lam, v, out=work)

@@ -451,7 +451,9 @@ class TestDeterminismAndOutput:
         assert not target.parent.exists()
 
 
-_WATCHED = ("numpy", "ptspec.solver", "scipy", "scipy.linalg", "scipy.sparse")
+_WATCHED = (
+    "numpy", "ptspec.solver", "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.sparse",
+)
 
 
 def loaded_after(code: str) -> set:
@@ -485,7 +487,7 @@ def _cli(command: str) -> str:
     (_cli("figure3 --Z 1 --grid-min 0.05 --grid-max 6 --grid-n 400"), set()),
     (_cli("stability --mass-sign neg --contour ushaped"), set()),
     (_cli("contour sample --kind ushaped --epsilon 1 --smin -10 --smax 10 --n 400"), set()),
-    (_cli("solve oscillator --nmax 0 --N 16"), {"numpy", "ptspec.solver", "scipy"}),
+    (_cli("solve oscillator --nmax 0 --N 16"), {"numpy", "ptspec.solver", "scipy.linalg._flapack"}),
     ("import ptspec; ptspec.evaluate(ptspec.UShaped(1.0), 0.5); "
      "ptspec.derivatives(ptspec.UShaped(1.0), -2.0)", set()),
 ], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve", "path_of_a_float"])
@@ -493,5 +495,5 @@ def test_what_each_command_loads(code, loaded):
     """Cold start: the closed forms and the path of a float load neither numpy
     nor the solver, and scipy loads only for a solve, which also shows that the
     check sees a load.  A solve loads scipy's LAPACK extension alone: neither
-    scipy.linalg nor scipy.sparse."""
+    scipy's own package init, scipy.linalg nor scipy.sparse."""
     assert loaded_after(code) == loaded

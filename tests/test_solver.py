@@ -8,6 +8,7 @@ import sys
 import textwrap
 import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -600,6 +601,58 @@ class TestTargeted:
         assert gbtrf is scipy.linalg.lapack.zgbtrf
         assert gbtrs is scipy.linalg.lapack.zgbtrs
 
+    @pytest.mark.parametrize("step", ["create_module", "exec_module"])
+    @pytest.mark.parametrize("error", [ImportError, OSError])
+    def test_banded_lapack_falls_back_when_the_extension_fails_to_load(
+        self, monkeypatch, step, error
+    ):
+        # where scipy's __init__ sets up DLL paths, loading the extension
+        # without it can fail
+        import scipy.linalg
+
+        loaded, raised = sys.modules["scipy.linalg._flapack"], []
+
+        def fail(self, arg):
+            raised.append(self.name)
+            raise error(f"cannot load {self.name}")
+
+        monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, step, fail)
+        solver._banded_lapack.cache_clear()
+        try:
+            gbtrf, gbtrs = solver._banded_lapack()
+        finally:
+            solver._banded_lapack.cache_clear()
+        assert raised == ["scipy.linalg._flapack"]
+        assert gbtrf is scipy.linalg.lapack.zgbtrf
+        assert gbtrs is scipy.linalg.lapack.zgbtrs
+        assert sys.modules["scipy.linalg._flapack"] is loaded
+
+    def test_banded_lapack_without_scipy_names_it(self):
+        # a fresh interpreter whose path finder does not see scipy, as where
+        # it is not installed: find_spec("scipy") returns None, and the
+        # fallback import raises
+        out = _fresh_json(textwrap.dedent("""
+            import importlib.machinery, importlib.util, json, sys
+
+            class NoScipy(importlib.machinery.PathFinder):
+                @classmethod
+                def find_spec(cls, name, path=None, target=None):
+                    if name.partition(".")[0] == "scipy":
+                        return None
+                    return super().find_spec(name, path, target)
+
+            sys.meta_path[:] = [
+                NoScipy if f is importlib.machinery.PathFinder else f for f in sys.meta_path
+            ]
+            from ptspec import solver
+            spec = importlib.util.find_spec("scipy")
+            try:
+                solver._banded_lapack()
+            except ModuleNotFoundError as exc:
+                print(json.dumps({"spec": repr(spec), "name": exc.name, "message": str(exc)}))
+        """))
+        assert out == {"spec": "None", "name": "scipy", "message": "No module named 'scipy'"}
+
     def test_banded_lapack_before_or_after_scipy_linalg(self):
         # a fresh interpreter, since this process has scipy.linalg loaded: a
         # search run before import scipy.linalg gives the bits of one run after
@@ -641,16 +694,62 @@ class TestTargeted:
             lv, host = next(s for s in _seeds(problem, grid, 2) if (s[0].n, s[0].sigma) == (1, 1))
             op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
             shift = lv.energy
-        lam, vector, iterations, residual = _plain_inverse_iteration(op, shift)
-        if case == "iteration cap":
-            assert lam is None and iterations == solver.INVERSE_ITERATION_CAP
-            with pytest.raises(ConvergenceFailure) as excinfo:
-                targeted_eigenvalue(op, shift)
-            assert (excinfo.value.iterations, excinfo.value.residual) == (iterations, residual)
-            return
-        res = targeted_eigenvalue(op, shift)
-        assert (res.eigenvalue, res.iterations, res.residual) == (lam, iterations, residual)
-        np.testing.assert_array_equal(res.eigenvector, vector)
+        capped = _assert_same_bits_as_plain_loop(op, shift)
+        assert capped == (case == "iteration cap")
+
+    @given(
+        Z=st.sampled_from([1.0, -1.0, 0.5, -2.0]),
+        two_L_plus_1=st.one_of(
+            st.floats(min_value=0.05, max_value=6.0),
+            # within 0.05 of an integer, where two levels of one host nearly
+            # coincide and the searches stall
+            st.builds(
+                lambda k, d: k + d,
+                st.integers(min_value=1, max_value=5),
+                st.floats(min_value=-0.05, max_value=0.05),
+            ),
+        ),
+        epsilon=st.floats(min_value=0.5, max_value=2.0),
+        S=st.floats(min_value=10.0, max_value=30.0),
+        N=st.one_of(st.integers(min_value=200, max_value=4000), st.just(16001)),
+        tol=st.sampled_from([solver.RESIDUAL_TOL, 1e-30]),  # 1e-30: only the floor stops
+        pick=st.integers(min_value=0, max_value=11),
+    )
+    @example(Z=1.0, two_L_plus_1=2.0, epsilon=1.0, S=14.0, N=501, tol=1e-10, pick=4)  # 183 steps
+    @example(Z=1.0, two_L_plus_1=2.0, epsilon=1.0, S=14.0, N=501, tol=1e-10, pick=2)  # the cap
+    @example(Z=1.0, two_L_plus_1=1.6, epsilon=1.0, S=30.0, N=16001, tol=1e-30, pick=0)
+    @settings(max_examples=25, deadline=None)
+    def test_screened_steps_keep_the_plain_loops_bits(self, Z, two_L_plus_1, epsilon, S, N, tol, pick):
+        # the steps that skip op v, lambda and the residual are exactly steps
+        # at which the plain loop does not stop
+        L = (two_L_plus_1 - 1.0) / 2.0
+        assume(not integer_L(L))
+        problem = ck_problem(Z=Z, L=L, eps=epsilon)
+        grid = aligned_grid(problem.contour, GridSpec(S, N))
+        seeds = _seeds(problem, grid, 2)
+        assume(seeds)
+        lv, host = seeds[pick % len(seeds)]
+        op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+        with mock.patch.object(solver, "RESIDUAL_TOL", tol):
+            _assert_same_bits_as_plain_loop(op, lv.energy)
+
+    def test_a_step_that_cannot_stop_forms_no_residual(self, monkeypatch):
+        # refine-ladder's coupling: (1, +1) stops at step 2, and step 1's
+        # screen shows that it cannot stop, so op v is formed once
+        problem = ck_problem()
+        grid = aligned_grid(problem.contour, GridSpec(30.0, 8000))
+        lv, host = next(s for s in _seeds(problem, grid, 2) if (s[0].n, s[0].sigma) == (1, 1))
+        op = discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
+        matvec, calls = DiscretizedOperator._matvec_into, []
+
+        def counted(self, *args):
+            calls.append(self)
+            return matvec(self, *args)
+
+        monkeypatch.setattr(DiscretizedOperator, "_matvec_into", counted)
+        res = targeted_eigenvalue(op, lv.energy)
+        assert res.iterations == 2
+        assert len(calls) == 1
 
     def test_dirichlet_ends_small(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 2000))
@@ -705,6 +804,21 @@ class TestTargeted:
         # the floor term existed, so the outputs on these grids cannot move
         op = discretize(problem.contour, problem.potential, problem.L, problem.mass_sign, grid)
         assert np.finfo(float).eps * op.norm_inf < 1e-10
+
+
+def _assert_same_bits_as_plain_loop(op, shift) -> bool:
+    """targeted_eigenvalue gives _plain_inverse_iteration's bits; True if both hit the cap."""
+    lam, vector, iterations, residual = _plain_inverse_iteration(op, shift)
+    if lam is None:
+        assert iterations == solver.INVERSE_ITERATION_CAP
+        with pytest.raises(ConvergenceFailure) as excinfo:
+            targeted_eigenvalue(op, shift)
+        assert (excinfo.value.iterations, excinfo.value.residual) == (iterations, residual)
+        return True
+    res = targeted_eigenvalue(op, shift)
+    assert (res.eigenvalue, res.iterations, res.residual) == (lam, iterations, residual)
+    np.testing.assert_array_equal(res.eigenvector, vector)
+    return False
 
 
 def _plain_inverse_iteration(op, shift):
