@@ -174,12 +174,11 @@ def stability_verdict(mass_sign: int, contour: Contour) -> StabilityVerdict:
     """Decide whether the spectrum is bounded from below for this geometry.
 
     It is exactly when negative energies carry a decaying asymptotic pair,
-    not free waves (classify_asymptotics): when the effective sign
-    mass_sign * _kinetic_orientation(contour) is positive.
+    not free waves: classify_asymptotics at E = -1, which holds the sign
+    rule and checks the mass sign before the contour.
     """
-    check_sign("mass sign", mass_sign)
-    orientation = _kinetic_orientation(contour)
+    bounded_below = classify_asymptotics(mass_sign, contour, -1.0) == DECAYING_PAIR
     return StabilityVerdict(
-        bounded_below=mass_sign * orientation > 0,
-        narrative=_STABILITY_NARRATIVES[mass_sign, orientation],
+        bounded_below=bounded_below,
+        narrative=_STABILITY_NARRATIVES[mass_sign, _kinetic_orientation(contour)],
     )

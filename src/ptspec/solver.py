@@ -34,8 +34,6 @@ import importlib.util
 import math
 import os
 import sys
-from contextlib import contextmanager
-from contextvars import ContextVar
 from functools import cache, cached_property
 from typing import NamedTuple, Optional
 
@@ -72,6 +70,12 @@ __all__ = [
 ]
 
 DENSE_CEILING = 2000  # largest size full_spectrum accepts
+# The largest N a GridSpec accepts, as large as analytic.MAX_ROWS.  Searches
+# at it, on a 2-vCPU x86-64 machine: `solve oscillator --N 1000000 --nmax 0`
+# (one seed, run to the iteration cap) peaks at 221 MB and takes 13.5 s;
+# `spectrum numeric --Z 1 --L 0.3 --N 1000000 --nmax 0` (two hosts, two
+# seeds, one capped) peaks at 237 MB and takes 21.6 s.
+GRID_CEILING = 10**6
 INVERSE_ITERATION_CAP = 200
 RESIDUAL_TOL = 1e-10  # relative part of the stopping rule, see _residual_bound
 EDGE_BLOCK = 4  # two conjugate pairs at the left edge, see _spectral_edge
@@ -82,8 +86,6 @@ MIN_AUTO_BOX = 15.0
 STRETCH = 4.0  # a in the Coulomb-Kratzer search's path map s = a*sinh(t/a)
 _START_SEED = 0x5EED
 _EPS = float(np.finfo(float).eps)  # read once: _residual_bound runs at every step
-# what the operators of one _search share, while it runs (_sharing)
-_SHARED: ContextVar[Optional[dict]] = ContextVar("ptspec_solver_shared", default=None)
 
 
 class GridSpec(_Record):
@@ -104,6 +106,8 @@ class GridSpec(_Record):
         if not S > 0:
             raise DomainError(f"S must be > 0, got {S}")
         check_count("N", N, 16)
+        if N > GRID_CEILING:
+            raise DomainError(f"N must be <= {GRID_CEILING}, got {N}")
         if not isinstance(stretched, bool):
             raise DomainError(f"stretched must be True or False, got {stretched!r}")
         self.__dict__.update(S=S, N=N, stretched=stretched)
@@ -191,7 +195,9 @@ class DiscretizedOperator(_Record):
 
     A band may be read-only and shared with other operators: discretize's
     off-diagonal bands are, since they depend only on the path, the grid and
-    the mass sign (_geometry).
+    the mass sign (_geometry), and the hosts of one _search share them.  A
+    band with a NaN or infinite entry raises DomainError: no search or
+    spectrum of such an operator means anything.
     """
 
     diag: np.ndarray
@@ -206,6 +212,9 @@ class DiscretizedOperator(_Record):
         check_count("N", n, 2)
         if sub.size != n - 1 or sup.size != n - 1:
             raise DomainError("off-diagonal bands must have length N-1")
+        for name, band in (("diagonal", diag), ("subdiagonal", sub), ("superdiagonal", sup)):
+            if not np.isfinite(band).all():
+                raise DomainError(f"the operator's {name} is not finite")
         self.__dict__.update(diag=diag, sub=sub, sup=sup)
 
     @property
@@ -277,32 +286,14 @@ def discretize(
 
     On a stretched grid x and x_t = x'(g(t)) g'(t) are taken at s = g(t)
     (see GridSpec.on_path).  A node may sit on a U-path junction: x' is
-    continuous there and x'' is never sampled.  The path, kinetic and
-    off-diagonal parts come from _geometry, so the off-diagonal bands are
-    read-only, and within one _search every host operator shares them; only
-    the diagonal is formed here.  errors.check_sign checks the mass sign
-    (DomainError unless +1 or -1).  Raises GeometryError for the width-zero
-    contour.  A non-finite L is refused for every potential, an integer L
-    (model.check_L) only in a Coulomb-Kratzer run, Z != 0: the oscillator
-    benchmark runs at L = 0.
+    continuous there and x'' is never sampled.  _geometry checks the mass
+    sign (DomainError unless +1 or -1) and refuses the width-zero contour
+    (GeometryError); _assemble then checks L: a non-finite L is refused for
+    every potential, an integer L (model.check_L) only in a Coulomb-Kratzer
+    run, Z != 0, since the oscillator benchmark runs at L = 0.  A band that
+    is not finite raises DomainError (DiscretizedOperator).
     """
-    check_sign("mass sign", mass_sign)
-    if isinstance(contour, UShaped) and not contour.epsilon:
-        raise GeometryError("width-zero contour is evaluation-only, not discretizable")
-    check_finite("L", L)
-    if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
-        check_L(L)
-
-    x, kinetic, sub, sup = _per_solve(
-        (contour, grid, mass_sign), lambda: _geometry(contour, mass_sign, grid)
-    )
-    coeff = evaluate_potential(potential, x)
-    lam = L * (L + 1.0)
-    if lam != 0.0:
-        if np.any(x == 0):
-            raise DomainError("centrifugal term evaluated at x = 0")
-        coeff = coeff + lam / (x * x)
-    return DiscretizedOperator(diag=mass_sign * (kinetic + coeff), sub=sub, sup=sup)
+    return _assemble(_geometry(contour, mass_sign, grid), potential, L, mass_sign)
 
 
 def _geometry(contour: Contour, mass_sign: int, grid: GridSpec) -> tuple:
@@ -312,53 +303,54 @@ def _geometry(contour: Contour, mass_sign: int, grid: GridSpec) -> tuple:
     form, with w = 1/x_t at the nodes and midpoints, has row j
     -(w_node[j]/h^2) * (w_mid[j+1]*(v[j+1]-v[j]) - w_mid[j]*(v[j]-v[j-1])):
     the kinetic diagonal w_node (w_mid[1:] + w_mid[:-1]) / h^2, and the
-    off-diagonal bands, which carry the mass sign and are made read-only.
+    off-diagonal bands, which carry the mass sign and are made read-only, so
+    the hosts _assemble builds from one tuple share them.  Runs without numpy
+    warnings: a non-finite band is refused by DiscretizedOperator instead.
     """
-    s, ds = grid.on_path(grid.nodes())
-    x, xp = _path(contour, s)  # x and x' at the nodes
-    m, dm = grid.on_path(grid.midpoints())
-    xp_mid = derivatives(contour, m)  # x' at the N+1 flux midpoints
-    if ds is not None:
-        xp *= ds
-        xp_mid *= dm
-    w_node = np.divide(1.0, xp, out=xp)  # 1/x_t, in place of x_t
-    w_mid = np.divide(1.0, xp_mid, out=xp_mid)
+    check_sign("mass sign", mass_sign)
+    if isinstance(contour, UShaped) and not contour.epsilon:
+        raise GeometryError("width-zero contour is evaluation-only, not discretizable")
+    with np.errstate(all="ignore"):
+        s, ds = grid.on_path(grid.nodes())
+        x, xp = _path(contour, s)  # x and x' at the nodes
+        m, dm = grid.on_path(grid.midpoints())
+        xp_mid = derivatives(contour, m)  # x' at the N+1 flux midpoints
+        if ds is not None:
+            xp *= ds
+            xp_mid *= dm
+        w_node = np.divide(1.0, xp, out=xp)  # 1/x_t, in place of x_t
+        w_mid = np.divide(1.0, xp_mid, out=xp_mid)
 
-    h2 = grid.h * grid.h
-    kinetic = w_node * (w_mid[1:] + w_mid[:-1]) / h2
-    sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
-    sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
+        h2 = grid.h * grid.h
+        kinetic = w_node * (w_mid[1:] + w_mid[:-1]) / h2
+        sub = mass_sign * (-(w_node[1:] * w_mid[1:-1]) / h2)
+        sup = mass_sign * (-(w_node[:-1] * w_mid[1:-1]) / h2)
     sub.flags.writeable = sup.flags.writeable = False
     return x, kinetic, sub, sup
 
 
-@contextmanager
-def _sharing():
-    """Open the store that _per_solve fills for one _search; it is gone on exit.
+def _assemble(
+    geometry: tuple, potential: Potential, L: float, mass_sign: int
+) -> DiscretizedOperator:
+    """discretize's operator for one potential on a _geometry tuple, left as it was.
 
-    Yields the store, a dict: clearing it drops what was built so far.  A
-    context variable and not an argument, because discretize, which reads
-    it, keeps its public signature.
+    Checks L (see discretize), then forms the diagonal mass_sign * (kinetic +
+    V(x) + L(L+1)/x^2), without numpy warnings as _geometry does; the
+    off-diagonal bands are the tuple's own read-only arrays.
     """
-    shared = {}
-    token = _SHARED.set(shared)
-    try:
-        yield shared
-    finally:
-        _SHARED.reset(token)
-
-
-def _per_solve(key, build):
-    """build(), made once per key while a _sharing block is open.
-
-    Outside such a block every call builds afresh and nothing is kept.
-    """
-    shared = _SHARED.get()
-    if shared is None:
-        return build()
-    if key not in shared:
-        shared[key] = build()
-    return shared[key]
+    check_finite("L", L)
+    if isinstance(potential, CoulombKratzer) and potential.Z != 0.0:
+        check_L(L)
+    x, kinetic, sub, sup = geometry
+    with np.errstate(all="ignore"):
+        coeff = evaluate_potential(potential, x)
+        lam = L * (L + 1.0)
+        if lam != 0.0:
+            if np.any(x == 0):
+                raise DomainError("centrifugal term evaluated at x = 0")
+            coeff = coeff + lam / (x * x)
+        diag = mass_sign * (kinetic + coeff)
+    return DiscretizedOperator(diag=diag, sub=sub, sup=sup)
 
 
 def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
@@ -537,21 +529,17 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
 def _start_vector(n: int) -> np.ndarray:
     """Unit complex Gaussian start vector from the fixed seed, read-only: runs repeat bitwise.
 
-    The real parts are drawn before the imaginary parts.  Within one _search
-    every operator of size n gets the same array (_per_solve); outside one,
-    each call draws afresh.
+    The real parts are drawn before the imaginary parts.  Every call draws
+    afresh; _search draws once per grid and hands the one array to every
+    seed's targeted_eigenvalue, which iterates on a copy.
     """
-
-    def draw() -> np.ndarray:
-        rng = np.random.default_rng(_START_SEED)
-        v = np.empty(n, dtype=complex)
-        v.real = rng.standard_normal(n)
-        v.imag = rng.standard_normal(n)
-        v /= np.linalg.norm(v)
-        v.flags.writeable = False
-        return v
-
-    return _per_solve(n, draw)
+    rng = np.random.default_rng(_START_SEED)
+    v = np.empty(n, dtype=complex)
+    v.real = rng.standard_normal(n)
+    v.imag = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    v.flags.writeable = False
+    return v
 
 
 def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
@@ -563,7 +551,9 @@ def _residual_bound(lam: complex, op: DiscretizedOperator) -> tuple:
     return RESIDUAL_TOL * max(1.0, abs(lam)), _EPS * op.norm_inf
 
 
-def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResult:
+def targeted_eigenvalue(
+    op: DiscretizedOperator, shift: complex, start: Optional[np.ndarray] = None
+) -> TargetedResult:
     """Shift-invert inverse iteration toward the eigenvalue nearest `shift`.
 
     One banded LU factorization of (op - shift*I), then O(N) solves per
@@ -578,8 +568,11 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     norm and its first significant component is made real positive, which
     pins the overall phase across repeated runs.
 
-    Every search starts from a copy of _start_vector(N), so a result depends
-    only on the operator and the shift.  A step allocates
+    Every search starts from a copy of `start`, by default a fresh
+    _start_vector(N), so a result depends only on the operator and the
+    shift; a caller that runs many searches of one size (_search) draws it
+    once and passes it.  A start of another shape than (N,) raises
+    DomainError before any work.  A step allocates
     nothing of size N: the solve works in the iterate's storage, two
     buffers made once per search hold the unit iterate u the step starts
     from, op v and op v - lambda v, each 2-norm is sqrt(re.re + im.im), the
@@ -599,12 +592,14 @@ def targeted_eigenvalue(op: DiscretizedOperator, shift: complex) -> TargetedResu
     residual at every step.
     """
     n = op.size
+    if start is not None and np.shape(start) != (n,):
+        raise DomainError(f"start vector of shape {np.shape(start)} for an operator of size {n}")
     # formed (and cached) before the LU and the buffers below hold memory:
     # at the first step's _residual_bound its temporaries would add to them
     op.norm_inf
     shift, solve = _shifted_solver(op, shift)
     margin = 64.0 * _EPS * (op.norm_inf + abs(shift))  # the banded LU's backward error
-    v = _start_vector(n).copy()
+    v = np.array(_start_vector(n) if start is None else start, dtype=complex)  # a copy
     hv = np.empty(n, dtype=complex)  # op v, then op v - lambda v
     work = np.empty(n, dtype=complex)  # u, then off-diagonal products, then lambda v
     lam = complex(shift)
@@ -739,10 +734,12 @@ def _seeds(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     A Coulomb-Kratzer level is seeded only when the grid's reach is at least
     MIN_DECAY_LENGTHS / kappa, and is hosted by the coupling sign under which
     it decays (_host_coupling).  The oscillator benchmark is exactly
-    oscillator_problem(), its one definition.
+    oscillator_problem(), its one definition; its n_max + 1 seeds are held
+    to analytic.MAX_ROWS, as the Coulomb-Kratzer table is (spectrum_table).
     """
     p, L = problem.potential, problem.L
     if problem == oscillator_problem():
+        analytic.check_table(n_max + 1, "n_max = {}", n_max)  # one seed per level
         return [
             (Level(n=n, sigma=1, energy=float(2 * n + 1), kappa=math.sqrt(2 * n + 1)), p)
             for n in range(n_max + 1)
@@ -807,32 +804,37 @@ def _verdict(lv: Level, res: TargetedResult, grid: GridSpec) -> LevelResult:
 def _search(problem: BoundStateProblem, grid: GridSpec, n_max: int) -> list:
     """One LevelResult per seed on one grid, in closed-form table order.
 
-    Every host operator is built through discretize before the first
-    search, and they share one path geometry (_geometry), which is dropped
-    once they are built: all that the hosts keep of it is its read-only
-    off-diagonal bands.  Every search starts from one read-only start vector
-    (_start_vector).  Nothing shared outlives the call.
-    A seed's search depends only on its host and its shift, so the results
-    are those of one discretize and one search per seed.
+    The path geometry is formed once (_geometry), every coupling-sign host
+    is assembled from it (_assemble) before the first search, and the tuple
+    is dropped before any LU holds memory: all that the hosts keep of it is
+    its read-only off-diagonal bands.  The start vector is drawn once, and
+    every seed's search starts from that read-only array.  A seed's search
+    depends only on its host and its shift, so the results are those of one
+    discretize and one targeted_eigenvalue(op, shift) per seed.
     """
     seeds = _seeds(problem, grid, n_max)
-    with _sharing() as shared:
-        ops = {
-            host: discretize(problem.contour, host, problem.L, problem.mass_sign, grid)
-            for host in dict.fromkeys(host for _, host in seeds)
-        }
-        shared.clear()  # the geometry, before any LU holds memory
-        return [_search_level(ops[host], lv, grid) for lv, host in seeds]
+    if not seeds:
+        return []
+    geometry = _geometry(problem.contour, problem.mass_sign, grid)
+    ops = {
+        host: _assemble(geometry, host, problem.L, problem.mass_sign)
+        for host in dict.fromkeys(host for _, host in seeds)
+    }
+    del geometry  # the path and kinetic diagonal, before any LU holds memory
+    start = _start_vector(grid.N)
+    return [_search_level(ops[host], lv, grid, start) for lv, host in seeds]
 
 
-def _search_level(op: DiscretizedOperator, lv: Level, grid: GridSpec) -> LevelResult:
-    """Target one seed on its host operator and judge the search (_verdict).
+def _search_level(
+    op: DiscretizedOperator, lv: Level, grid: GridSpec, start: np.ndarray
+) -> LevelResult:
+    """Target one seed on its host operator from `start` and judge the search (_verdict).
 
     A function of its own, so that a search's eigenvector is released before
     the next seed's search starts.
     """
     try:
-        res = targeted_eigenvalue(op, lv.energy)
+        res = targeted_eigenvalue(op, lv.energy, start)
     except ConvergenceFailure as exc:
         return LevelResult(lv, None, f"no convergence: {exc}", iterations=exc.iterations)
     return _verdict(lv, res, grid)
@@ -860,8 +862,9 @@ def find_bound_states(
     numeric eigenvalue matches its seed when |delta| <= max(1e-3, 5 h^2 |E|),
     h the step in t, unless its eigenvector has not decayed by the ends of
     the grid (see _verdict: a continuum artifact).  With two_grid=True the
-    run is repeated on grid.refined(), which halves h and keeps every node,
-    and that run, the per-level error ratios |delta| coarse / fine, and
+    run is repeated on grid.refined(), which halves h and keeps every node
+    (a refined N past GRID_CEILING is refused before the coarse run), and
+    that run, the per-level error ratios |delta| coarse / fine, and
     order_estimate, the median of log2 over the positive ratios, are
     attached.  order_estimate is an order of convergence only where every
     level's error shrinks as a power of h; it is not a Richardson estimate.
@@ -876,12 +879,13 @@ def find_bound_states(
                 f"{aligned.reach:.4g} < S; raise N or epsilon"
             )
         grid = aligned
+    fine_grid = grid.refined() if two_grid else None
     levels = _search(problem, grid, n_max)
-    if not two_grid:
+    if fine_grid is None:
         return SpectrumResult(levels=levels, grid=grid)
 
     # the same S and path map seed the same levels in the same order
-    fine = find_bound_states(problem, grid.refined(), n_max)
+    fine = find_bound_states(problem, fine_grid, n_max)
     ratios = {}
     orders = []
     for coarse, other in zip(levels, fine.levels, strict=True):

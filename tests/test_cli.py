@@ -170,6 +170,18 @@ class TestSpectrumNumeric:
          "n_max = 100000000 over 2 points makes a table of 400000004 rows, more than 1000000"),
         (("contour", "sample", "--n", "1000001"),
          "n = 1000001 makes a table of 1000001 rows, more than 1000000"),
+        # a grid past solver.GRID_CEILING, refused before any node is formed
+        (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--N", "10000000000000", "--nmax", "0"),
+         "N must be <= 1000000, got 10000000000000"),
+        (("solve", "oscillator", "--N", "10000000000000", "--nmax", "0"),
+         "N must be <= 1000000, got 10000000000000"),
+        # an operator that under- or overflows: h^2, 2S and x^2 in turn
+        (("solve", "oscillator", "--N", "100", "--nmax", "0", "--S", "1e-300"),
+         "the operator's diagonal is not finite"),
+        (("solve", "oscillator", "--N", "100", "--nmax", "0", "--S", "1e308"),
+         "the operator's diagonal is not finite"),
+        (("solve", "oscillator", "--N", "100", "--nmax", "0", "--S", "1e200"),
+         "the operator's diagonal is not finite"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
         # a collapsed L, a reach below S, a negative n_max, an overflowed level
@@ -205,6 +217,34 @@ def test_count_past_2_53_is_refused_at_once(argv, reason):
     )
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {reason} must be <= 2**53, got {_HUGE}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--N", "10000000000000", "--nmax", "0"),
+     "N must be <= 1000000, got 10000000000000"),
+    (("solve", "oscillator", "--N", "1000001", "--nmax", "0"), "N must be <= 1000000, got 1000001"),
+    # the fine grid of --order, 2N+1 nodes, is refused before the coarse run
+    (("solve", "oscillator", "--N", "500000", "--nmax", "0", "--order"),
+     "N must be <= 1000000, got 1000001"),
+    (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--N", "500000", "--nmax", "0", "--order"),
+     "N must be <= 1000000, got 1000001"),
+    # the oscillator's n_max + 1 seeds are bounded like a closed-form table
+    (("solve", "oscillator", "--nmax", "100000000", "--N", "100"),
+     "n_max = 100000000 makes a table of 100000001 rows, more than 1000000"),
+])
+def test_size_past_its_bound_is_refused_at_once(argv, message):
+    # refused before any grid, seed list or search is formed: the memory cap
+    # and the timeout turn a large allocation or a search into a failure
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "ptspec.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 1 and proc.stdout == ""
+    assert proc.stderr == f"error: {message}\n"
 
 
 class TestFigure3:

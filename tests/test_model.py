@@ -128,6 +128,27 @@ class TestStability:
         with pytest.raises(GeometryError, match="supports the U path and the phi=0 line only"):
             stability_verdict(1, StraightLine(0.7))
 
+    def test_sign_rule_is_the_classifiers(self, monkeypatch):
+        # the verdict reads classify_asymptotics at a negative energy; it
+        # forms no sign product of its own
+        import ptspec.model as model
+
+        calls = []
+
+        def classify(mass_sign, contour, E):
+            calls.append((mass_sign, contour, E))
+            return PLANE_WAVE_PAIR
+
+        monkeypatch.setattr(model, "classify_asymptotics", classify)
+        assert not stability_verdict(-1, UShaped(1.0)).bounded_below
+        assert calls == [(-1, UShaped(1.0), -1.0)]
+        monkeypatch.undo()
+        # the mass sign is checked before the contour
+        with pytest.raises(DomainError, match="mass sign must be"):
+            stability_verdict(0, StraightLine(0.7))
+        with pytest.raises(GeometryError):
+            stability_verdict(1, StraightLine(0.7))
+
     def test_consistency_with_classifier(self):
         # bounded below exactly when negative energies host no free waves
         for sign in (1, -1):

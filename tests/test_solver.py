@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from ptspec.analytic import Level, Reparametrization, figure3_data, level, spectrum_table
 from ptspec.contour import StraightLine, UShaped, derivatives, evaluate
 from ptspec.errors import ConvergenceFailure, DomainError, GeometryError, SingularL
-from ptspec import solver
+from ptspec import analytic, solver
 from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential, integer_L
 from ptspec.solver import (
     DENSE_CEILING,
@@ -186,10 +186,10 @@ class TestDiscretize:
         contour, grid = UShaped(1.0), GridSpec(15.0, 401)
         if aligned:
             grid = aligned_grid(contour, grid)
-        if warm:  # the other host builds the geometry this one reuses
-            with solver._sharing():
-                discretize(contour, CoulombKratzer(-Z), L, mass_sign, grid)
-                op = discretize(contour, CoulombKratzer(Z), L, mass_sign, grid)
+        if warm:  # the other host is assembled first, from the same geometry tuple
+            geometry = solver._geometry(contour, mass_sign, grid)
+            solver._assemble(geometry, CoulombKratzer(-Z), L, mass_sign)
+            op = solver._assemble(geometry, CoulombKratzer(Z), L, mass_sign)
         else:
             op = discretize(contour, CoulombKratzer(Z), L, mass_sign, grid)
         _assert_same_bits(op, _plain_discretize(contour, CoulombKratzer(Z), L, mass_sign, grid))
@@ -210,18 +210,22 @@ class TestDiscretize:
 
     def test_hosts_share_read_only_bands(self):
         contour, grid = UShaped(1.0), aligned_grid(UShaped(1.0), GridSpec(15.0, 400))
-        with solver._sharing():
-            a = discretize(contour, CoulombKratzer(1.0), 0.3, -1, grid)
-            b = discretize(contour, CoulombKratzer(-1.0), 0.3, -1, grid)
+        geometry = solver._geometry(contour, -1, grid)
+        before = [part.tobytes() for part in geometry]
+        a = solver._assemble(geometry, CoulombKratzer(1.0), 0.3, -1)
+        b = solver._assemble(geometry, CoulombKratzer(-1.0), 0.3, -1)
         assert a.sub is b.sub and a.sup is b.sup
         assert not np.array_equal(a.diag, b.diag)
         for band in (a.sub, a.sup):
             with pytest.raises(ValueError, match="read-only"):
                 band[0] = 0.0
-        # outside a search every call builds its own bands
+        # assembling a host leaves the tuple as it was
+        assert [part.tobytes() for part in geometry] == before
+        # discretize builds its own bands at every call
         c = discretize(contour, CoulombKratzer(1.0), 0.3, -1, grid)
         assert not np.shares_memory(c.sub, a.sub) and not c.sub.flags.writeable
-        assert solver._SHARED.get() is None
+        d = discretize(contour, CoulombKratzer(1.0), 0.3, -1, grid)
+        assert not np.shares_memory(c.sub, d.sub) and not np.shares_memory(c.sup, d.sup)
 
     def test_tridiagonal_shape(self):
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(10.0, 64))
@@ -557,11 +561,10 @@ class TestTargeted:
 
     def test_repeat_runs_bit_identical(self):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
-        with solver._sharing():  # both searches start from this one array
-            start = solver._start_vector(op.size)
-            before = start.copy()
-            a = targeted_eigenvalue(op, DEEP)
-            b = targeted_eigenvalue(op, DEEP)
+        start = solver._start_vector(op.size)  # both searches start from this one array
+        before = start.copy()
+        a = targeted_eigenvalue(op, DEEP, start)
+        b = targeted_eigenvalue(op, DEEP, start)
         assert not start.flags.writeable
         assert (a.eigenvalue, a.iterations, a.residual) == (b.eigenvalue, b.iterations, b.residual)
         np.testing.assert_array_equal(a.eigenvector, b.eigenvector)
@@ -983,10 +986,10 @@ class TestFindBoundStates:
         real = solver.targeted_eigenvalue
         deep = spectrum_table(1.0, 0.3, 1, -1)[0]
 
-        def stall_on_deep(op, shift):
+        def stall_on_deep(op, shift, start):
             if shift == deep.energy:
                 raise ConvergenceFailure("stalled", iterations=200)
-            return real(op, shift)
+            return real(op, shift, start)
 
         monkeypatch.setattr(solver, "targeted_eigenvalue", stall_on_deep)
         res = find_bound_states(ck_problem(), GridSpec(30.0, 2000), n_max=1)
@@ -1015,26 +1018,47 @@ class TestFindBoundStates:
         assert find_bound_states(problem, GridSpec(30.0, 2000), 2).levels == expected
 
     def test_hosts_share_one_geometry_and_start_vector(self, monkeypatch):
-        real, draw = solver.targeted_eigenvalue, solver._start_vector
-        searched, starts = {}, []
+        real, draw, geometry = solver.targeted_eigenvalue, solver._start_vector, solver._geometry
+        searched, starts, draws, grids = {}, [], [], []
 
-        def record(op, shift):
+        def record(op, shift, start):
             searched[id(op)] = op
-            return real(op, shift)
+            starts.append(start)
+            return real(op, shift, start)
 
-        def record_start(n):
-            starts.append(draw(n))
-            return starts[-1]
+        def record_draw(n):
+            draws.append(draw(n))
+            return draws[-1]
+
+        def record_geometry(contour, mass_sign, grid):
+            grids.append(grid)
+            return geometry(contour, mass_sign, grid)
+
+        def no_discretize(*args):
+            raise AssertionError("a search assembles its hosts from one geometry")
 
         monkeypatch.setattr(solver, "targeted_eigenvalue", record)
-        monkeypatch.setattr(solver, "_start_vector", record_start)
-        find_bound_states(ck_problem(L=1.3), GridSpec(30.0, 2000), 2)
+        monkeypatch.setattr(solver, "_start_vector", record_draw)
+        monkeypatch.setattr(solver, "_geometry", record_geometry)
+        monkeypatch.setattr(solver, "discretize", no_discretize)
+        problem, grid = ck_problem(L=1.3), GridSpec(30.0, 2000)
+        find_bound_states(problem, grid, 2)
         a, b = searched.values()  # one operator per coupling-sign host
         assert a.sub is b.sub and a.sup is b.sup
-        # every search of both hosts starts from one read-only array
+        # one geometry and one draw for the grid; every search of both hosts
+        # starts from that one read-only array
+        aligned = aligned_grid(problem.contour, grid)
+        assert grids == [aligned] and [v.size for v in draws] == [aligned.N]
         assert len(starts) > len(searched)
-        assert all(v is starts[0] for v in starts) and not starts[0].flags.writeable
-        assert solver._SHARED.get() is None  # nothing shared outlives the call
+        assert all(v is draws[0] for v in starts) and not draws[0].flags.writeable
+        # two grids, two of each: the fine run draws its own start vector
+        for seen in (grids, draws, starts):
+            seen.clear()
+        find_bound_states(problem, grid, 2, two_grid=True)
+        assert grids == [aligned, aligned.refined()]
+        assert [v.size for v in draws] == [aligned.N, aligned.refined().N]
+        assert all(v is draws[0] for v in starts if v.size == aligned.N)
+        assert all(v is draws[1] for v in starts if v.size != aligned.N)
 
     def test_two_grid_keeps_fine_run(self):
         # at L = 2.2 the (0,-1) and (1,-1) seeds stay unmatched on both grids
@@ -1234,6 +1258,65 @@ def test_n_max_checked_once(entry):
             with pytest.raises(DomainError, match=match):
                 call(bad)
         call(np.int64(minimum))  # numpy integers are integers
+
+
+class TestSizeAndFiniteBounds:
+    """Sizes no grid holds and operators no search can use, refused with DomainError."""
+
+    def test_grid_past_the_ceiling(self):
+        GridSpec(10.0, 10**6)  # the ceiling itself forms no node here
+        with pytest.raises(DomainError, match=r"^N must be <= 1000000, got 1000001$"):
+            GridSpec(10.0, 10**6 + 1)
+        assert solver.GRID_CEILING == analytic.MAX_ROWS == 10**6
+
+    @pytest.mark.parametrize("problem, S", [(oscillator_problem(), 10.0), (ck_problem(), 15.0)])
+    def test_refined_grid_past_the_ceiling_before_any_search(self, monkeypatch, problem, S):
+        def no_search(*args):
+            raise AssertionError("searched before the fine grid was formed")
+
+        monkeypatch.setattr(solver, "_search", no_search)
+        with pytest.raises(DomainError, match=r"^N must be <= 1000000, got 1000001$"):
+            find_bound_states(problem, GridSpec(S, 500000), 0, two_grid=True)
+
+    def test_oscillator_seeds_past_the_table_bound(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched past the table bound")
+
+        monkeypatch.setattr(solver, "targeted_eigenvalue", no_search)
+        message = "n_max = 1000000 makes a table of 1000001 rows, more than 1000000"
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            find_bound_states(oscillator_problem(), GridSpec(10.0, 64), 10**6)
+
+    @pytest.mark.parametrize("S", [1e-300, 1e308, 1e200], ids=["h2-underflows", "2S-overflows",
+                                                             "x2-overflows"])
+    def test_non_finite_operator_without_a_warning(self, S):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match="^the operator's diagonal is not finite$"):
+                discretize(StraightLine(0.0), Oscillator(), 0.0, 1, GridSpec(S, 100))
+            with pytest.raises(DomainError, match="^the operator's diagonal is not finite$"):
+                find_bound_states(oscillator_problem(), GridSpec(S, 100), 0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, complex(0.0, -math.inf)])
+    @pytest.mark.parametrize("band", ["diagonal", "subdiagonal", "superdiagonal"])
+    def test_operator_refuses_a_non_finite_band(self, band, value):
+        bands = {"diagonal": np.ones(5, dtype=complex), "subdiagonal": np.ones(4, dtype=complex),
+                 "superdiagonal": np.ones(4, dtype=complex)}
+        bands[band][2] = value
+        with pytest.raises(DomainError, match=f"^the operator's {band} is not finite$"):
+            DiscretizedOperator(*bands.values())
+
+    @pytest.mark.parametrize("shape", [(399,), (401,), (400, 1)])
+    def test_start_vector_of_another_shape(self, shape):
+        op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
+        with mock.patch.object(solver, "_shifted_solver", side_effect=AssertionError("factored")):
+            with pytest.raises(DomainError, match=re.escape(f"start vector of shape {shape}")):
+                targeted_eigenvalue(op, DEEP, np.ones(shape, dtype=complex))
+        # the default start is a fresh draw of the one start vector
+        a = targeted_eigenvalue(op, DEEP)
+        b = targeted_eigenvalue(op, DEEP, solver._start_vector(op.size))
+        assert (a.eigenvalue, a.iterations, a.residual) == (b.eigenvalue, b.iterations, b.residual)
+        assert a.eigenvector.tobytes() == b.eigenvector.tobytes()
 
 
 def _keys(levels) -> set:
