@@ -18,7 +18,7 @@ from . import analytic
 # evaluate and derivatives are not called here, but stay importable as
 # ptspec.cli.evaluate and ptspec.cli.derivatives, the names the bench tracer wraps
 from .contour import StraightLine, UShaped, _path, derivatives, evaluate  # noqa: F401
-from .errors import ConvergenceFailure, PtspecError, check_count
+from .errors import ConvergenceFailure, PtspecError, check_count, check_finite
 from .model import CoulombKratzer, stability_verdict
 
 __all__ = ["load_config", "main"]
@@ -87,6 +87,7 @@ def _run_contour_sample(p: dict) -> str:
     analytic.check_table(p["n"], "n = {}", p["n"])  # one row per sample
     if not p["smax"] > p["smin"]:
         raise UsageError("smax must exceed smin")
+    check_finite("smax - smin", p["smax"] - p["smin"])  # else the samples hold inf and NaN
     # one float at a time: a float's path runs on math and cmath, without
     # numpy, and one _path call gives both x and x'
     points = ((s, *_path(contour, s)) for s in _linspace(p["smin"], p["smax"], p["n"]))

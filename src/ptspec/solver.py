@@ -111,6 +111,11 @@ class GridSpec(_Record):
         if not isinstance(stretched, bool):
             raise DomainError(f"stretched must be True or False, got {stretched!r}")
         self.__dict__.update(S=S, N=N, stretched=stretched)
+        try:  # past S = 4 asinh(max/4) ~ 2836.36 the reach overflows
+            reach = self.reach
+        except OverflowError:
+            reach = math.inf
+        check_finite("the reach g(S) of a stretched grid at S = {}", reach, S)
 
     @property
     def h(self) -> float:
@@ -164,7 +169,13 @@ def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
     if t_j == 0.0:
         return GridSpec(S=grid.S, N=grid.N, stretched=True)
     half = 0.5 * (grid.N + 1)
-    j = half + math.ceil(t_j * half / grid.S - half)
+    index = t_j * half / grid.S  # the junction's node index from the centre, at T = S
+    if not math.isfinite(index):
+        raise GeometryError(
+            f"epsilon = {contour.epsilon}: the aligned grid for S = {grid.S}, N = {grid.N} "
+            f"puts the arc junction at node index {index} from the centre; raise S"
+        )
+    j = half + math.ceil(index - half)
     return GridSpec(S=t_j * half / j, N=grid.N, stretched=True)
 
 

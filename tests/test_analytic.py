@@ -216,6 +216,12 @@ class TestGroundState:
         rep = Reparametrization(M0=0, alpha=1e-8)
         assert ground_state_compact_formula(1.0, rep) < -1e15
 
+    def test_compact_formula_refuses_an_underflowed_distance(self):
+        # sin^2(1e-200) underflows to 0: the limit alpha -> 0 that the record excludes
+        rep = Reparametrization(M0=0, alpha=1e-200)
+        with pytest.raises(DomainError, match="excluded limiting value"):
+            ground_state_compact_formula(1.0, rep)
+
     def test_edge_angles_rejected(self):
         with pytest.raises(DomainError):
             Reparametrization(M0=0, alpha=0.0)

@@ -1,11 +1,6 @@
 import json
-import os
-import resource
-import subprocess
-import sys
 import textwrap
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ptspec.cli import _linspace, main
+from ptspec.errors import ConvergenceFailure
 
-SRC = Path(__file__).resolve().parents[1] / "src"
 _HUGE = "1" + "0" * 400  # a count no float holds
 
 
@@ -182,11 +177,24 @@ class TestSpectrumNumeric:
          "the operator's diagonal is not finite"),
         (("solve", "oscillator", "--N", "100", "--nmax", "0", "--S", "1e200"),
          "the operator's diagonal is not finite"),
+        (("figure3", "--grid-n", "100000000"),
+         "n_max = 4 over 100000000 points makes a table of 1000000000 rows, more than 1000000"),
+        # a span, a junction index and a reach that overflow
+        (("contour", "sample", "--smin=-1e308", "--smax=1e308", "--n", "3", "--format", "json"),
+         "smax - smin must be finite, got inf"),
+        (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--S", "1e-308", "--N", "100",
+          "--nmax", "0"),
+         "the aligned grid for S = 1e-308, N = 100 puts the arc junction at node index inf"),
+        (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--S", "10000", "--N", "100000",
+          "--nmax", "0"),
+         "the reach g(S) of a stretched grid at S = 9017.692176946908 must be finite, got inf"),
+        (("contour", "sample", "--smin", "1", "--smax", "1"), "smax must exceed smin"),
+        (("figure3", "--grid-min", "0"), "require 0 < grid_min < grid_max"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
-        # a collapsed L, a reach below S, a negative n_max, an overflowed level
-        # and a table past its bound, in the search and the closed form alike:
-        # exit 1, one line, no warning before it
+        # a collapsed L, a reach below S, a negative n_max, an overflowed value,
+        # a table past its bound and an empty range, in the search and the
+        # closed form alike: exit 1, one line, no warning before it
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             code, out, err = run_cli(capsys, *argv)
@@ -195,28 +203,15 @@ class TestSpectrumNumeric:
         assert reason in err
 
 
-@pytest.mark.parametrize("argv, reason", [
+# a count no float holds, refused before any table, grid or float is formed
+_PAST_2_53 = [
     (("spectrum", "analytic", "--Z", "1", "--L", "0.3", "--nmax", _HUGE), "n_max"),
     (("figure3", "--nmax", _HUGE), "n_max"),
     (("figure3", "--grid-n", _HUGE), "grid_n"),
     (("contour", "sample", "--n", _HUGE), "n"),
     (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--N", _HUGE), "N"),
     (("solve", "oscillator", "--nmax", _HUGE), "n_max"),
-])
-def test_count_past_2_53_is_refused_at_once(argv, reason):
-    # a count no float holds is refused before any table, grid or float is
-    # formed; the memory cap turns a walk over it into a quick failure, not a
-    # hang (one BLAS thread keeps numpy's own reservation under the cap)
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ptspec.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
-        capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
-    )
-    assert proc.returncode == 1 and proc.stdout == ""
-    assert proc.stderr == f"error: {reason} must be <= 2**53, got {_HUGE}\n"
+]
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -231,18 +226,13 @@ def test_count_past_2_53_is_refused_at_once(argv, reason):
     # the oscillator's n_max + 1 seeds are bounded like a closed-form table
     (("solve", "oscillator", "--nmax", "100000000", "--N", "100"),
      "n_max = 100000000 makes a table of 100000001 rows, more than 1000000"),
+    *(pytest.param(argv, f"{name} must be <= 2**53, got {_HUGE}",
+                   id=f"{argv[0]}-{name}-past-2**53") for argv, name in _PAST_2_53),
 ])
-def test_size_past_its_bound_is_refused_at_once(argv, message):
+def test_size_past_its_bound_is_refused_at_once(fresh_python, argv, message):
     # refused before any grid, seed list or search is formed: the memory cap
-    # and the timeout turn a large allocation or a search into a failure
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-W", "error", "-m", "ptspec.cli", *argv],
-        env={**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"},
-        capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
-    )
+    # and the timeout turn a large allocation, a walk or a search into a failure
+    proc = fresh_python("-W", "error", "-m", "ptspec.cli", *argv, timeout=5)
     assert proc.returncode == 1 and proc.stdout == ""
     assert proc.stderr == f"error: {message}\n"
 
@@ -295,17 +285,11 @@ class TestFigure3:
         assert code == 0
         assert self._sweep(out) == [1e12, 1e12 + 4]
 
-    def test_widest_sweep_ends_at_once(self):
+    def test_widest_sweep_ends_at_once(self, fresh_python):
         # a splice of every odd integer below 1e308 would never end; the memory
         # cap turns such a walk into a quick failure, not a hang
-        def cap_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
         argv = ["figure3", "--grid-min", "0.05", "--grid-max", "1e308", "--grid-n", "3"]
-        proc = subprocess.run(
-            [sys.executable, "-m", "ptspec.cli", *argv], env={**os.environ, "PYTHONPATH": str(SRC)},
-            capture_output=True, text=True, timeout=5, preexec_fn=cap_memory,
-        )
+        proc = fresh_python("-m", "ptspec.cli", *argv, timeout=5)
         assert proc.returncode == 0, proc.stderr
         assert self._sweep(proc.stdout) == [0.05, 1.0, 3.0, 5.0, 7.0, 9.0, 5e307, 1e308]
 
@@ -371,6 +355,18 @@ class TestSolveOscillator:
         np.testing.assert_allclose(
             sorted(r["numeric_re"] for r in rows), [1, 3, 5, 7, 9], atol=1e-3
         )
+
+    def test_numerical_failure_exits_2(self, capsys, monkeypatch):
+        # no input reaches this today (each level's search catches its own
+        # ConvergenceFailure), so the search is made to raise one
+        from ptspec import solver
+
+        def fail(*args, **kwargs):
+            raise ConvergenceFailure("no convergence: forced")
+
+        monkeypatch.setattr(solver, "find_bound_states", fail)
+        code, out, err = run_cli(capsys, "solve", "oscillator", "--nmax", "0", "--N", "16")
+        assert (code, out, err) == (2, "", "numerical failure: no convergence: forced\n")
 
 
 class TestConfigFile:
@@ -447,6 +443,29 @@ class TestConfigFile:
         assert out == ""
         assert "bad value for key format" in err
 
+    def test_order_must_be_true_or_false(self, capsys, tmp_path):
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"order": "yes"}))
+        code, out, err = run_cli(capsys, "solve", "oscillator", "--config", str(cfg))
+        assert code == 1
+        assert out == ""
+        assert "bad value for key order: 'yes' (expected true/false)" in err
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "cannot read config file"),  # no file there
+        ("[1, 2]", "must hold a flat JSON object"),
+    ])
+    def test_unusable_file(self, capsys, tmp_path, text, message):
+        cfg = tmp_path / "run.json"
+        if text is not None:
+            cfg.write_text(text)
+        code, out, err = run_cli(
+            capsys, "spectrum", "analytic", "--config", str(cfg), "--L", "0.3",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and message in err
+
     @pytest.mark.parametrize("kind", ["u", "straightline"])
     @pytest.mark.parametrize(
         "argv,key",
@@ -493,22 +512,11 @@ class TestDeterminismAndOutput:
 
 _WATCHED = (
     "numpy", "ptspec.solver", "scipy", "scipy.linalg", "scipy.linalg._flapack", "scipy.sparse",
+    "dataclasses", "inspect",
 )
-
-
-def loaded_after(code: str) -> set:
-    """Which of _WATCHED a fresh interpreter has loaded after running code.
-
-    A fresh interpreter, since this test process has all of them loaded.
-    """
-    report = f"import json, sys; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
-    script = f"{code}\n{report}"
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return set(json.loads(proc.stdout))
+# whether importing numpy loads these depends on numpy's version (2.4.6 loads
+# inspect), so a command that loads numpy is not held to either
+_NUMPY_MAY_LOAD = {"dataclasses", "inspect"}
 
 
 def _cli(command: str) -> str:
@@ -531,9 +539,14 @@ def _cli(command: str) -> str:
     ("import ptspec; ptspec.evaluate(ptspec.UShaped(1.0), 0.5); "
      "ptspec.derivatives(ptspec.UShaped(1.0), -2.0)", set()),
 ], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve", "path_of_a_float"])
-def test_what_each_command_loads(code, loaded):
-    """Cold start: the closed forms and the path of a float load neither numpy
-    nor the solver, and scipy loads only for a solve, which also shows that the
-    check sees a load.  A solve loads scipy's LAPACK extension alone: neither
-    scipy's own package init, scipy.linalg nor scipy.sparse."""
-    assert loaded_after(code) == loaded
+def test_what_each_command_loads(fresh_json, code, loaded):
+    """Cold start: the closed forms and the path of a float load neither numpy,
+    the solver, dataclasses nor inspect, and scipy loads only for a solve,
+    which also shows that the check sees a load.  A solve loads scipy's LAPACK
+    extension alone: neither scipy's own package init, scipy.linalg nor
+    scipy.sparse.  A fresh interpreter, since this one has them all loaded."""
+    report = f"import json, sys; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
+    got = set(fresh_json(f"{code}\n{report}"))
+    if "numpy" in loaded:
+        got -= _NUMPY_MAY_LOAD
+    assert got == loaded

@@ -1,9 +1,3 @@
-import json
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import pytest
 
 import ptspec
@@ -27,18 +21,7 @@ _MODULE_DUNDERS = {
 }
 
 
-def _fresh(code: str):
-    """The JSON that code prints, run in a fresh interpreter: nothing loaded yet."""
-    src = Path(__file__).resolve().parents[1] / "src"
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(src)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
-
-
-def test_public_names_do_not_depend_on_what_is_loaded():
+def test_public_names_do_not_depend_on_what_is_loaded(fresh_json):
     # the solver's names are served on demand (PEP 562), yet a cold package
     # lists and star-exports the same names as one that bound them all eagerly
     modules = {"analytic": analytic, "contour": contour, "errors": errors, "model": model,
@@ -46,20 +29,20 @@ def test_public_names_do_not_depend_on_what_is_loaded():
     public = set(modules)
     for module in modules.values():
         public |= set(module.__all__)
-    star = _fresh("import json; ns = {}; exec('from ptspec import *', ns); "
-                  "print(json.dumps(sorted(set(ns) - {'__builtins__'})))")
+    star = fresh_json("import json; ns = {}; exec('from ptspec import *', ns); "
+                      "print(json.dumps(sorted(set(ns) - {'__builtins__'})))")
     assert set(star) == public
-    listed = _fresh("import json, ptspec; print(json.dumps(dir(ptspec)))")
+    listed = fresh_json("import json, ptspec; print(json.dumps(dir(ptspec)))")
     assert set(listed) == public | _MODULE_DUNDERS | {"__getattr__", "__dir__"}
-    assert _fresh("import json, ptspec; "
-                  "print(json.dumps(ptspec.find_bound_states is ptspec.solver.find_bound_states))")
+    assert fresh_json("import json, ptspec; print(json.dumps("
+                      "ptspec.find_bound_states is ptspec.solver.find_bound_states))")
 
 
-def test_underscore_probe_loads_nothing():
+def test_underscore_probe_loads_nothing(fresh_json):
     # no public name starts with "_": a probe for one is refused without the solver
-    loaded = _fresh("import json, sys, ptspec; probe = hasattr(ptspec, '__wrapped__'); "
-                    "print(json.dumps([probe, 'numpy' in sys.modules, "
-                    "'ptspec.solver' in sys.modules]))")
+    loaded = fresh_json("import json, sys, ptspec; probe = hasattr(ptspec, '__wrapped__'); "
+                        "print(json.dumps([probe, 'numpy' in sys.modules, "
+                        "'ptspec.solver' in sys.modules]))")
     assert loaded == [False, False, False]
 
 
@@ -74,9 +57,9 @@ def test_five_exception_classes():
     }
 
 
-def test_cli_loads_neither_dataclasses_nor_inspect():
+def test_cli_loads_neither_dataclasses_nor_inspect(fresh_json):
     # the records are written out (errors._Record, typing.NamedTuple): generating
     # them with dataclasses would load inspect into every closed-form command
-    loaded = _fresh("import json, sys, ptspec.cli; "
-                    "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    loaded = fresh_json("import json, sys, ptspec.cli; "
+                        "print(json.dumps(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
     assert loaded == []

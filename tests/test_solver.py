@@ -1,13 +1,9 @@
 import importlib.machinery
-import json
 import math
-import os
 import re
-import subprocess
 import sys
 import textwrap
 import warnings
-from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -43,21 +39,10 @@ from ptspec.solver import (
 )
 
 DEEP = -((1 / 0.6) ** 2)  # n=0, sigma=-1 level at Z=1, L=0.3
-SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def ck_problem(Z=1.0, L=0.3, eps=1.0):
     return BoundStateProblem(UShaped(eps), CoulombKratzer(Z), L, -1)
-
-
-def _fresh_json(code: str):
-    """The JSON that code prints, run in a fresh interpreter."""
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": str(SRC)},
-        capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
 
 
 class TestGridSpec:
@@ -630,11 +615,11 @@ class TestTargeted:
         assert gbtrs is scipy.linalg.lapack.zgbtrs
         assert sys.modules["scipy.linalg._flapack"] is loaded
 
-    def test_banded_lapack_without_scipy_names_it(self):
+    def test_banded_lapack_without_scipy_names_it(self, fresh_json):
         # a fresh interpreter whose path finder does not see scipy, as where
         # it is not installed: find_spec("scipy") returns None, and the
         # fallback import raises
-        out = _fresh_json(textwrap.dedent("""
+        out = fresh_json(textwrap.dedent("""
             import importlib.machinery, importlib.util, json, sys
 
             class NoScipy(importlib.machinery.PathFinder):
@@ -656,7 +641,7 @@ class TestTargeted:
         """))
         assert out == {"spec": "None", "name": "scipy", "message": "No module named 'scipy'"}
 
-    def test_banded_lapack_before_or_after_scipy_linalg(self):
+    def test_banded_lapack_before_or_after_scipy_linalg(self, fresh_json):
         # a fresh interpreter, since this process has scipy.linalg loaded: a
         # search run before import scipy.linalg gives the bits of one run after
         search = textwrap.dedent("""
@@ -677,8 +662,8 @@ class TestTargeted:
                            [r.eigenvalue.real.hex(), r.eigenvalue.imag.hex()] for r in res.levels],
             }))
         """)
-        after = _fresh_json("import json, sys\n" + search + report)
-        before = _fresh_json("import json, sys\nimport scipy.linalg\n" + search + report)
+        after = fresh_json("import json, sys\n" + search + report)
+        before = fresh_json("import json, sys\nimport scipy.linalg\n" + search + report)
         assert (after["cold"], before["cold"]) == (True, False)
         assert after["same"] is True and before["same"] is True
         assert after["levels"] == before["levels"]
