@@ -29,6 +29,7 @@ conjugate-reflection identity of PT-symmetric inputs exact in floating point.
 
 from __future__ import annotations
 
+import cmath
 import importlib.machinery
 import importlib.util
 import math
@@ -370,11 +371,14 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     A PT-symmetric operator (pt_defect() == 0, as every discretize output
     is) is folded into real arithmetic first (_fold, after A. Lee, Linear
     Algebra Appl. 29, 205, 1980): a real operator whose two parity halves
-    are symmetric takes the tridiagonal QL/QR fast path on each half, of
-    size about N/2, and every other one becomes one real matrix of size N,
-    whose real Hessenberg QR returns the eigenvalues in exact conjugate
-    pairs.  A non-PT operator gets complex QR of to_dense().  Every route
-    inherits LAPACK's 30*N sweep budget; exceeding it raises
+    are symmetric takes dsterf on each half, of size about N/2, and every
+    other one becomes one real matrix of size N, whose real Hessenberg QR
+    (dgeev) returns the eigenvalues in exact conjugate pairs; a fold that
+    overflows raises DomainError.  A non-PT operator gets complex QR (zgeev)
+    of to_dense().  The routines come from _lapack and are called as
+    scipy.linalg's eigvalsh_tridiagonal(d, e, lapack_driver='sterf') and
+    eigvals(a, overwrite_a=True) call them, with the same bits.  Every
+    route inherits LAPACK's 30*N sweep budget; exceeding it raises
     ConvergenceFailure.  Sizes above DENSE_CEILING raise DomainError.
     """
     n = op.size
@@ -383,24 +387,36 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             f"matrix size {n} exceeds the dense-solver ceiling {DENSE_CEILING}; "
             "use targeted_eigenvalue"
         )
-    import scipy.linalg  # deferred: the solving commands load no scipy.linalg (_banded_lapack)
+    lapack = _lapack()
 
-    try:
-        if op.pt_defect() != 0.0:
-            vals = scipy.linalg.eigvals(op.to_dense(), overwrite_a=True)
-        else:
+    def run(name: str, *args, **kwargs) -> list:  # a routine's outputs, its info checked
+        *out, info = getattr(lapack, name)(*args, **kwargs)
+        if info != 0:
+            raise ConvergenceFailure(f"dense eigenvalue routine {name} failed (info={info})")
+        return out
+
+    def geev(kind: str, a: np.ndarray) -> np.ndarray:  # in a's own storage, no eigenvectors
+        work = run(f"{kind}geev_lwork", a.shape[0], compute_vl=0, compute_vr=0)[0]
+        w = run(f"{kind}geev", a, compute_vl=0, compute_vr=0, lwork=int(work.real), overwrite_a=1)
+        return w[0] if kind == "z" else w[0] + 1j * w[1]
+
+    if op.pt_defect() != 0.0:
+        vals = geev("z", op.to_dense())
+    else:
+        with np.errstate(over="ignore"):  # refused below
             halves = _fold(op)
-            if all(
-                np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
-                for diag, sub, sup in halves
-            ):
-                vals = np.concatenate(
-                    [scipy.linalg.eigvalsh_tridiagonal(d.real, e.real) for d, e, _ in halves]
-                ).astype(complex)
-            else:
-                vals = scipy.linalg.eigvals(_folded_matrix(*halves), overwrite_a=True)
-    except np.linalg.LinAlgError as exc:  # scipy.linalg.LinAlgError is this class
-        raise ConvergenceFailure(f"dense QR iteration failed: {exc}") from exc
+        if not all(np.isfinite(band).all() for half in halves for band in half):
+            raise DomainError("the operator's PT fold overflows")
+        if all(
+            np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
+            for diag, sub, sup in halves
+        ):
+            vals = np.concatenate([  # dsterf refuses the empty e of a 1 x 1 half
+                diag.real if diag.size == 1 else run("dsterf", diag.real, sub.real)[0]
+                for diag, sub, _ in halves
+            ]).astype(complex)
+        else:
+            vals = geev("d", _folded_matrix(*halves))
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
@@ -462,16 +478,16 @@ class TargetedResult(NamedTuple):
 
 
 @cache
-def _banded_lapack() -> tuple:
-    """LAPACK zgbtrf and zgbtrs, loaded without running any of scipy's __init__.
+def _lapack():
+    """scipy's LAPACK extension module, loaded without running any of scipy's __init__.
 
     import scipy.linalg would cost a cold solving command about half its
     time, and even scipy's top-level __init__ loads test and version helpers
-    a solve never uses.  The routines live in scipy's compiled LAPACK
-    extension scipy.linalg._flapack: importlib.util.find_spec locates scipy
-    without running it, and the extension is loaded from there on its own
-    and entered in sys.modules, where a later import scipy.linalg finds it.
-    The fallback is scipy.linalg.lapack, the same function objects: when
+    a solve never uses.  _shifted_solver and full_spectrum take their
+    routines from scipy.linalg._flapack: importlib.util.find_spec locates
+    scipy without running it, and the extension is loaded from there on its
+    own and entered in sys.modules, where a later import scipy.linalg finds
+    it.  The fallback is scipy.linalg.lapack, the same function objects: when
     scipy has no spec (it raises ModuleNotFoundError), when the extension is
     not where expected, or when loading it raises ImportError or OSError, as
     it can where scipy's __init__ sets up DLL paths (Windows).
@@ -488,13 +504,12 @@ def _banded_lapack() -> tuple:
         except (ImportError, OSError):
             pass
         else:
-            flapack = sys.modules.setdefault(name, flapack)
-            return flapack.zgbtrf, flapack.zgbtrs
+            return sys.modules.setdefault(name, flapack)
     # _flapack is private: a scipy release or an editable install that moves
     # it should cost speed, not correctness
     from scipy.linalg import lapack
 
-    return lapack.zgbtrf, lapack.zgbtrs
+    return lapack
 
 
 def _shifted_solver(op: DiscretizedOperator, shift: complex):
@@ -509,7 +524,7 @@ def _shifted_solver(op: DiscretizedOperator, shift: complex):
     ValueError (gbtrs would write through the flag); either LAPACK failure
     raises ConvergenceFailure.
     """
-    gbtrf, gbtrs = _banded_lapack()
+    gbtrf, gbtrs = _lapack().zgbtrf, _lapack().zgbtrs
 
     def factor(shift: complex) -> tuple:
         # 2*kl + ku + 1 rows for kl = ku = 1; column-major, so gbtrf factors it in place
@@ -582,7 +597,8 @@ def targeted_eigenvalue(
     Every search starts from a copy of `start`, by default a fresh
     _start_vector(N), so a result depends only on the operator and the
     shift; a caller that runs many searches of one size (_search) draws it
-    once and passes it.  A start of another shape than (N,) raises
+    once and passes it.  A shift that is not finite, or a start of another
+    shape than (N,) or whose squared norm is not finite and positive, raises
     DomainError before any work.  A step allocates
     nothing of size N: the solve works in the iterate's storage, two
     buffers made once per search hold the unit iterate u the step starts
@@ -603,8 +619,12 @@ def targeted_eigenvalue(
     residual at every step.
     """
     n = op.size
+    if not cmath.isfinite(shift):
+        raise DomainError(f"shift {shift} is not finite")
     if start is not None and np.shape(start) != (n,):
         raise DomainError(f"start vector of shape {np.shape(start)} for an operator of size {n}")
+    if start is not None and not 0.0 < np.vdot(start, start).real < math.inf:  # NaN fails too
+        raise DomainError("start vector with a zero or non-finite norm")
     # formed (and cached) before the LU and the buffers below hold memory:
     # at the first step's _residual_bound its temporaries would add to them
     op.norm_inf
@@ -931,10 +951,10 @@ def _spectral_edge(op: DiscretizedOperator) -> complex:
     and runs into its cap.  Arnoldi starts from targeted_eigenvalue's start
     vector (_start_vector), which ARPACK copies.  The Ritz pair of least real
     part is accepted when its residual meets targeted_eigenvalue's rule
-    (_residual_bound).
+    (_residual_bound).  The one caller in ptspec that imports a scipy
+    package: scipy.sparse.linalg, for ARPACK, which loads scipy.linalg too.
     """
-    # deferred: see full_spectrum (scipy.sparse.linalg loads scipy.linalg)
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs
+    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigs  # deferred
 
     n = op.size
     shift, solve = _shifted_solver(op, -op.norm_inf)

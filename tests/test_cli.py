@@ -529,6 +529,23 @@ def _cli(command: str) -> str:
     """)
 
 
+# a dense spectrum down each of full_spectrum's routes: dsterf (the oscillator),
+# dgeev (the A5 grid's fold) and zgeev (a non-PT operator)
+_DENSE = textwrap.dedent("""
+    from ptspec import solver
+    from ptspec.contour import UShaped
+    from ptspec.model import CoulombKratzer
+    osc = solver.oscillator_problem()
+    a5 = solver.discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, solver.GridSpec(15.0, 127))
+    solver.full_spectrum(
+        solver.discretize(osc.contour, osc.potential, osc.L, osc.mass_sign,
+                          solver.GridSpec(10.0, 200)))
+    solver.full_spectrum(a5)
+    a5.diag[0] += 1e-3j
+    solver.full_spectrum(a5)
+""")
+
+
 @pytest.mark.parametrize("code,loaded", [
     ("import ptspec", set()),
     (_cli("spectrum analytic --Z 1 --L 0.3 --nmax 4 --mass neg --format csv"), set()),
@@ -538,13 +555,16 @@ def _cli(command: str) -> str:
     (_cli("solve oscillator --nmax 0 --N 16"), {"numpy", "ptspec.solver", "scipy.linalg._flapack"}),
     ("import ptspec; ptspec.evaluate(ptspec.UShaped(1.0), 0.5); "
      "ptspec.derivatives(ptspec.UShaped(1.0), -2.0)", set()),
-], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve", "path_of_a_float"])
+    (_DENSE, {"numpy", "ptspec.solver", "scipy.linalg._flapack"}),
+], ids=["import", "analytic", "figure3", "stability", "contour_sample", "solve", "path_of_a_float",
+        "dense"])
 def test_what_each_command_loads(fresh_json, code, loaded):
     """Cold start: the closed forms and the path of a float load neither numpy,
-    the solver, dataclasses nor inspect, and scipy loads only for a solve,
-    which also shows that the check sees a load.  A solve loads scipy's LAPACK
-    extension alone: neither scipy's own package init, scipy.linalg nor
-    scipy.sparse.  A fresh interpreter, since this one has them all loaded."""
+    the solver, dataclasses nor inspect, and scipy loads only for a solve or
+    a dense spectrum, which also shows that the check sees a load.  Either
+    loads scipy's LAPACK extension alone: neither scipy's own package init,
+    scipy.linalg nor scipy.sparse.  A fresh interpreter, since this one has
+    them all loaded."""
     report = f"import json, sys; print(json.dumps([m for m in {_WATCHED!r} if m in sys.modules]))"
     got = set(fresh_json(f"{code}\n{report}"))
     if "numpy" in loaded:

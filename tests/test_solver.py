@@ -390,7 +390,7 @@ class TestFullSpectrum:
     @pytest.mark.parametrize("N", [127, 199])
     def test_in_place_dense_route_matches_copying_route(self, N):
         # an A5 grid's operator broken out of PT symmetry, so it is not folded:
-        # the column-major matrix that eigvals overwrites gives the same
+        # the column-major matrix that zgeev overwrites gives the same
         # eigenvalue bits as a C-ordered sum of three np.diag, which eigvals copies
         import scipy.linalg
 
@@ -427,17 +427,16 @@ class TestFullSpectrum:
 
     def test_discretized_operators_never_reach_complex_qr(self, monkeypatch):
         # complex PT (the A5 grid), real symmetric (the oscillator) and real
-        # non-symmetric (the oscillator on a stretched grid) operators
-        import scipy.linalg
+        # non-symmetric (the oscillator on a stretched grid) operators, then a
+        # non-PT one: the routines each takes from the loader, in order
+        lapack, taken = solver._lapack(), []
 
-        dtypes = []
-        eigvals = scipy.linalg.eigvals
+        class Recording:
+            def __getattr__(self, name):
+                taken[-1].append(name)
+                return getattr(lapack, name)
 
-        def recording(a, **kwargs):
-            dtypes.append(a.dtype)
-            return eigvals(a, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eigvals", recording)
+        monkeypatch.setattr(solver, "_lapack", Recording)
         osc = oscillator_problem()
         ops = [
             discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, 127)),
@@ -447,12 +446,114 @@ class TestFullSpectrum:
                 GridSpec(10.0, 201, stretched=True),
             ),
         ]
-        for op in ops:
-            assert op.pt_defect() == 0.0
+        non_pt = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, 127))
+        non_pt.diag[0] += 1e-3j
+        for op in [*ops, non_pt]:
+            assert (op.pt_defect() == 0.0) is (op is not non_pt)
+            taken.append([])
             assert full_spectrum(op).shape == (op.size,)
         # the A5 grid's fold and the stretched oscillator's, whose halves are
-        # not symmetric; the plain oscillator's symmetric halves take no eigvals
-        assert dtypes == [np.dtype(float)] * 2
+        # not symmetric, take real QR; the plain oscillator's symmetric halves
+        # take dsterf each
+        assert taken == [
+            ["dgeev_lwork", "dgeev"], ["dsterf", "dsterf"], ["dgeev_lwork", "dgeev"],
+            ["zgeev_lwork", "zgeev"],
+        ]
+
+    def test_same_bits_as_scipy_linalg_before_it_loads(self, fresh_json):
+        # a fresh interpreter: the dense spectra run before import scipy.linalg,
+        # then scipy.linalg's own routines give the reference, with sterf
+        # named, since the default tridiagonal driver differs between releases
+        out = fresh_json(textwrap.dedent("""
+            import json, sys
+            import numpy as np
+            from ptspec import solver
+            from ptspec.contour import UShaped
+            from ptspec.model import CoulombKratzer
+
+            osc = solver.oscillator_problem()
+            cases = {  # name: (operator, the route full_spectrum takes)
+                f"A5 N={N} mass {m}": (solver.discretize(
+                    UShaped(1.0), CoulombKratzer(1.0), 0.3, m, solver.GridSpec(15.0, N)), "dgeev")
+                for N in (127, 199) for m in (1, -1)
+            }
+            cases["oscillator N=2000"] = (solver.discretize(
+                osc.contour, osc.potential, osc.L, osc.mass_sign, solver.GridSpec(10.0, 2000)),
+                "dsterf")
+            cases["stretched oscillator N=201"] = (solver.discretize(
+                osc.contour, osc.potential, osc.L, osc.mass_sign,
+                solver.GridSpec(10.0, 201, stretched=True)), "dgeev")
+            non_pt = solver.discretize(
+                UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, solver.GridSpec(15.0, 127))
+            non_pt.diag[0] += 1e-3j
+            cases["non-PT N=127"] = (non_pt, "zgeev")
+            cases["symmetric N=2"] = (solver.DiscretizedOperator(
+                diag=[2.0, 2.0], sub=[1.0], sup=[1.0]), "dsterf")
+            cases["symmetric N=3"] = (solver.DiscretizedOperator(
+                diag=[1.0, 2.0, 1.0], sub=[0.5, 0.5], sup=[0.5, 0.5]), "dsterf")
+            cases["complex PT N=2"] = (solver.DiscretizedOperator(
+                diag=[1 + 2j, 1 - 2j], sub=[0.5 + 0.1j], sup=[0.5 - 0.1j]), "dgeev")
+            cases["complex PT N=3"] = (solver.DiscretizedOperator(
+                diag=[1 + 2j, 3.0, 1 - 2j], sub=[0.5 + 0.1j, 0.7 - 0.3j],
+                sup=[0.7 + 0.3j, 0.5 - 0.1j]), "dgeev")
+            got = {name: solver.full_spectrum(op) for name, (op, _) in cases.items()}
+            cold = [m for m in ("scipy", "scipy.linalg", "scipy.sparse") if m in sys.modules]
+
+            import scipy.linalg
+
+            def reference(op, route):
+                if route == "zgeev":
+                    vals = scipy.linalg.eigvals(op.to_dense())
+                elif route == "dgeev":
+                    vals = scipy.linalg.eigvals(solver._folded_matrix(*solver._fold(op)))
+                else:
+                    vals = np.concatenate([
+                        scipy.linalg.eigvalsh_tridiagonal(d.real, e.real, lapack_driver="sterf")
+                        for d, e, _ in solver._fold(op)
+                    ]).astype(complex)
+                return vals[np.lexsort((vals.imag, vals.real))]
+
+            def bits(vals):
+                return [[v.real.hex(), v.imag.hex()] for v in vals]
+
+            print(json.dumps({"cold": cold, "differ": [
+                name for name, (op, route) in cases.items()
+                if bits(got[name]) != bits(reference(op, route))
+            ], "sizes": [got[name].size for name in cases]}))
+        """))
+        assert out["cold"] == []
+        assert out["differ"] == []
+        assert out["sizes"] == [127, 127, 199, 199, 2000, 201, 127, 2, 3, 2, 3]
+
+    @pytest.mark.parametrize("routine", ["dsterf", "dgeev", "zgeev"])
+    def test_lapack_failure_is_a_convergence_failure(self, monkeypatch, routine):
+        lapack = solver._lapack()
+
+        class Failing:  # the routine's own outputs, with info = 7
+            def __getattr__(self, name):
+                real = getattr(lapack, name)
+                return real if name != routine else lambda *a, **k: (*real(*a, **k)[:-1], 7)
+
+        monkeypatch.setattr(solver, "_lapack", Failing)
+        op = {
+            "dsterf": DiscretizedOperator(diag=[2.0] * 4, sub=[1.0] * 3, sup=[1.0] * 3),
+            "dgeev": _pt_operator(16, np.random.default_rng(16), False),
+            "zgeev": DiscretizedOperator(diag=[1.0, 2.0, 3.0], sub=[0.5, 0.25], sup=[0.5, 0.25]),
+        }[routine]
+        with pytest.raises(ConvergenceFailure, match=f"routine {routine} failed \\(info=7\\)"):
+            full_spectrum(op)
+
+    @pytest.mark.parametrize("op", [
+        # odd N: the fold scales the middle couplings by sqrt2 (real QR)
+        DiscretizedOperator(diag=[1 + 1j, 2.0, 1 - 1j], sub=[1.5e308, 1.0], sup=[1.0, 1.5e308]),
+        # even N: the fold adds the corner coupling to the diagonal (dsterf)
+        DiscretizedOperator(diag=[1e308, 1e308], sub=[1e308], sup=[1e308]),
+    ], ids=["odd", "even"])
+    def test_overflowing_fold_is_refused(self, op):
+        # LAPACK given the overflowed entries returns numbers, not an error
+        assert op.pt_defect() == 0.0
+        with pytest.raises(DomainError, match="PT fold overflows"):
+            full_spectrum(op)
 
     def test_ceiling_enforced(self):
         def zeros(n):
@@ -561,12 +662,19 @@ class TestTargeted:
             solve(start)
         np.testing.assert_array_equal(start, before)
 
-    def test_banded_lapack_is_scipys(self):
+    # the loader's banded LU routines (_shifted_solver) and dense ones (full_spectrum)
+    ROUTINES = ("zgbtrf", "zgbtrs", "dsterf", "dgeev", "dgeev_lwork", "zgeev", "zgeev_lwork")
+
+    def assert_scipys(self, lapack):
         import scipy.linalg
 
-        gbtrf, gbtrs = solver._banded_lapack()
-        assert gbtrf is scipy.linalg.lapack.zgbtrf
-        assert gbtrs is scipy.linalg.lapack.zgbtrs
+        for name in self.ROUTINES:
+            assert getattr(lapack, name) is getattr(scipy.linalg.lapack, name), name
+
+    def test_banded_lapack_is_scipys(self):
+        lapack = solver._lapack()
+        assert lapack is sys.modules["scipy.linalg._flapack"]
+        self.assert_scipys(lapack)
 
     def test_banded_lapack_falls_back_without_the_extension_spec(self, monkeypatch):
         import scipy.linalg
@@ -580,14 +688,14 @@ class TestTargeted:
             return find_spec(name, path, target)
 
         monkeypatch.setattr(importlib.machinery.PathFinder, "find_spec", no_flapack)
-        solver._banded_lapack.cache_clear()
+        solver._lapack.cache_clear()
         try:
-            gbtrf, gbtrs = solver._banded_lapack()
+            lapack = solver._lapack()
         finally:
-            solver._banded_lapack.cache_clear()
+            solver._lapack.cache_clear()
         assert asked == ["scipy.linalg._flapack"]
-        assert gbtrf is scipy.linalg.lapack.zgbtrf
-        assert gbtrs is scipy.linalg.lapack.zgbtrs
+        assert lapack is scipy.linalg.lapack
+        self.assert_scipys(lapack)
 
     @pytest.mark.parametrize("step", ["create_module", "exec_module"])
     @pytest.mark.parametrize("error", [ImportError, OSError])
@@ -605,14 +713,14 @@ class TestTargeted:
             raise error(f"cannot load {self.name}")
 
         monkeypatch.setattr(importlib.machinery.ExtensionFileLoader, step, fail)
-        solver._banded_lapack.cache_clear()
+        solver._lapack.cache_clear()
         try:
-            gbtrf, gbtrs = solver._banded_lapack()
+            lapack = solver._lapack()
         finally:
-            solver._banded_lapack.cache_clear()
+            solver._lapack.cache_clear()
         assert raised == ["scipy.linalg._flapack"]
-        assert gbtrf is scipy.linalg.lapack.zgbtrf
-        assert gbtrs is scipy.linalg.lapack.zgbtrs
+        assert lapack is scipy.linalg.lapack
+        self.assert_scipys(lapack)
         assert sys.modules["scipy.linalg._flapack"] is loaded
 
     def test_banded_lapack_without_scipy_names_it(self, fresh_json):
@@ -635,7 +743,7 @@ class TestTargeted:
             from ptspec import solver
             spec = importlib.util.find_spec("scipy")
             try:
-                solver._banded_lapack()
+                solver._lapack()
             except ModuleNotFoundError as exc:
                 print(json.dumps({"spec": repr(spec), "name": exc.name, "message": str(exc)}))
         """))
@@ -654,10 +762,11 @@ class TestTargeted:
         """)
         report = textwrap.dedent("""
             import scipy.linalg
-            gbtrf, gbtrs = solver._banded_lapack()
+            lapack = solver._lapack()
             print(json.dumps({
                 "cold": cold,
-                "same": gbtrf is scipy.linalg.lapack.zgbtrf and gbtrs is scipy.linalg.lapack.zgbtrs,
+                "same": lapack.zgbtrf is scipy.linalg.lapack.zgbtrf
+                and lapack.zgbtrs is scipy.linalg.lapack.zgbtrs,
                 "levels": [None if r.eigenvalue is None else
                            [r.eigenvalue.real.hex(), r.eigenvalue.imag.hex()] for r in res.levels],
             }))
@@ -1302,6 +1411,28 @@ class TestSizeAndFiniteBounds:
         b = targeted_eigenvalue(op, DEEP, solver._start_vector(op.size))
         assert (a.eigenvalue, a.iterations, a.residual) == (b.eigenvalue, b.iterations, b.residual)
         assert a.eigenvector.tobytes() == b.eigenvector.tobytes()
+
+    @pytest.mark.parametrize("shift", [
+        math.nan, math.inf, -math.inf, complex(DEEP, math.nan), complex(DEEP, -math.inf),
+    ], ids=["nan", "inf", "-inf", "nan-imag", "-inf-imag"])
+    def test_non_finite_shift_is_refused_before_the_lu(self, shift):
+        # each ended as "degenerate vector" (ConvergenceFailure, CLI exit 2)
+        op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
+        with mock.patch.object(solver, "_shifted_solver", side_effect=AssertionError("factored")):
+            with pytest.raises(DomainError, match=r"^shift .* is not finite$"):
+                targeted_eigenvalue(op, shift)
+
+    @pytest.mark.parametrize("entry", [0.0, math.nan, complex(0.0, math.inf), 1e200],
+                             ids=["zero", "nan", "inf", "norm-overflows"])
+    def test_degenerate_start_vector_is_refused_before_the_lu(self, entry):
+        # zero and NaN starts each ended as "degenerate vector"
+        op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
+        start = np.zeros(op.size, dtype=complex) if entry == 0.0 else solver._start_vector(op.size)
+        start = start.copy()
+        start[7] = entry
+        with mock.patch.object(solver, "_shifted_solver", side_effect=AssertionError("factored")):
+            with pytest.raises(DomainError, match="^start vector with a zero or non-finite norm$"):
+                targeted_eigenvalue(op, DEEP, start)
 
 
 def _keys(levels) -> set:
