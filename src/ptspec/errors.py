@@ -44,7 +44,8 @@ class _Record:
     checks its arguments and stores them in __dict__.  Two records are equal
     when they are of one type and their fields are equal, so
     StraightLine(0.0) != UShaped(0.0).  A record hashes by its fields, shows
-    as Type(field=value, ...), and refuses assignment and deletion.
+    as Type(field=value, ...), and refuses assignment and deletion; a
+    DiscretizedOperator compares its array fields by value and has no hash.
     Written out rather than generated by dataclasses, whose import loads
     inspect, which the closed-form commands otherwise never load.
     """

@@ -202,14 +202,30 @@ def _mirrored(values: np.ndarray) -> np.ndarray:
     return out
 
 
+def _frozen(values) -> np.ndarray:
+    """values as a read-only complex array: one that owns its data as it is, else a copy."""
+    if (  # a read-only view is copied too: its base may still be written
+        isinstance(values, np.ndarray) and values.dtype == complex
+        and values.flags.owndata and not values.flags.writeable
+    ):
+        return values
+    band = np.array(values, dtype=complex)
+    band.flags.writeable = False
+    return band
+
+
 class DiscretizedOperator(_Record):
     """Complex tridiagonal matrix: diag (N >= 2), sub (N-1, row i+1 col i), sup (N-1).
 
-    A band may be read-only and shared with other operators: discretize's
-    off-diagonal bands are, since they depend only on the path, the grid and
-    the mass sign (_geometry), and the hosts of one _search share them.  A
-    band with a NaN or infinite entry raises DomainError: no search or
-    spectrum of such an operator means anything.
+    Every band is read-only, so norm_inf cannot go stale: a read-only
+    complex array is kept as it is, and may be shared with other operators
+    (discretize's off-diagonal bands depend only on the path, the grid and
+    the mass sign, _geometry, and the hosts of one _search share them);
+    anything else is copied.  A band with a NaN or infinite entry, or bands
+    whose largest row sum norm_inf is not finite, raise DomainError: no
+    search or spectrum of such an operator means anything.  Two operators
+    are equal when their bands are (np.array_equal); an operator is not
+    hashable.
     """
 
     diag: np.ndarray
@@ -217,9 +233,7 @@ class DiscretizedOperator(_Record):
     sup: np.ndarray
 
     def __init__(self, diag: np.ndarray, sub: np.ndarray, sup: np.ndarray):
-        diag = np.asarray(diag, dtype=complex)
-        sub = np.asarray(sub, dtype=complex)
-        sup = np.asarray(sup, dtype=complex)
+        diag, sub, sup = _frozen(diag), _frozen(sub), _frozen(sup)
         n = diag.size
         check_count("N", n, 2)
         if sub.size != n - 1 or sup.size != n - 1:
@@ -228,6 +242,13 @@ class DiscretizedOperator(_Record):
             if not np.isfinite(band).all():
                 raise DomainError(f"the operator's {name} is not finite")
         self.__dict__.update(diag=diag, sub=sub, sup=sup)
+        if not math.isfinite(self.norm_inf):
+            raise DomainError("the operator's largest row sum |diag| + |sub| + |sup| is not finite")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(map(np.array_equal, self._values(), other._values()))
 
     @property
     def size(self) -> int:
@@ -252,17 +273,20 @@ class DiscretizedOperator(_Record):
     def norm_inf(self) -> float:
         """Largest absolute row sum, max_i |diag_i| + |sub_{i-1}| + |sup_i|.
 
-        Cached: find_bound_states targets several seeds on one operator.
+        Formed at construction, which refuses a sum that overflows, and
+        cached: find_bound_states targets several seeds on one operator.
         """
-        rows = np.abs(self.diag)
-        rows[1:] += np.abs(self.sub)
-        rows[:-1] += np.abs(self.sup)
+        with np.errstate(over="ignore"):
+            rows = np.abs(self.diag)
+            rows[1:] += np.abs(self.sub)
+            rows[:-1] += np.abs(self.sup)
         return float(rows.max())
 
     def pt_defect(self) -> float:
-        """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j])."""
-        d = np.max(np.abs(self.diag - np.conj(self.diag[::-1])))
-        return float(max(d, np.max(np.abs(self.sub - np.conj(self.sup[::-1])))))
+        """Max entrywise violation of M[i,j] = conj(M[N-1-i, N-1-j]); inf where it overflows."""
+        with np.errstate(over="ignore"):
+            d = np.max(np.abs(self.diag - np.conj(self.diag[::-1])))
+            return float(max(d, np.max(np.abs(self.sub - np.conj(self.sup[::-1])))))
 
 
 class BoundStateProblem(NamedTuple):
@@ -362,23 +386,24 @@ def _assemble(
                 raise DomainError("centrifugal term evaluated at x = 0")
             coeff = coeff + lam / (x * x)
         diag = mass_sign * (kinetic + coeff)
+    diag.flags.writeable = False  # taken as it is, not copied
     return DiscretizedOperator(diag=diag, sub=sub, sup=sup)
 
 
 def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
-    """All eigenvalues of the tridiagonal matrix, sorted by (real, imag).
+    """All eigenvalues of a PT-symmetric tridiagonal matrix, sorted by (real, imag).
 
-    A PT-symmetric operator (pt_defect() == 0, as every discretize output
-    is) is folded into real arithmetic first (_fold, after A. Lee, Linear
-    Algebra Appl. 29, 205, 1980): a real operator whose two parity halves
-    are symmetric takes dsterf on each half, of size about N/2, and every
-    other one becomes one real matrix of size N, whose real Hessenberg QR
-    (dgeev) returns the eigenvalues in exact conjugate pairs; a fold that
-    overflows raises DomainError.  A non-PT operator gets complex QR (zgeev)
-    of to_dense().  The routines come from _lapack and are called as
+    An operator with pt_defect() != 0 raises DomainError before any LAPACK
+    routine is looked up; no discretize output has one.  The operator is
+    folded into real arithmetic (_fold, after A. Lee, Linear Algebra Appl.
+    29, 205, 1980): a real operator whose two parity halves are symmetric
+    takes dsterf on each half, of size about N/2, and every other one
+    becomes one real matrix of size N, whose real Hessenberg QR (dgeev)
+    returns the eigenvalues in exact conjugate pairs; a fold that overflows
+    raises DomainError.  The routines come from _lapack and are called as
     scipy.linalg's eigvalsh_tridiagonal(d, e, lapack_driver='sterf') and
-    eigvals(a, overwrite_a=True) call them, with the same bits.  Every
-    route inherits LAPACK's 30*N sweep budget; exceeding it raises
+    eigvals(a, overwrite_a=True) call them, with the same bits.  Both routes
+    inherit LAPACK's 30*N sweep budget; exceeding it raises
     ConvergenceFailure.  Sizes above DENSE_CEILING raise DomainError.
     """
     n = op.size
@@ -387,6 +412,8 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             f"matrix size {n} exceeds the dense-solver ceiling {DENSE_CEILING}; "
             "use targeted_eigenvalue"
         )
+    if op.pt_defect() != 0.0:
+        raise DomainError("only PT-symmetric operators, as discretize builds them, are folded")
     lapack = _lapack()
 
     def run(name: str, *args, **kwargs) -> list:  # a routine's outputs, its info checked
@@ -395,28 +422,23 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
             raise ConvergenceFailure(f"dense eigenvalue routine {name} failed (info={info})")
         return out
 
-    def geev(kind: str, a: np.ndarray) -> np.ndarray:  # in a's own storage, no eigenvectors
-        work = run(f"{kind}geev_lwork", a.shape[0], compute_vl=0, compute_vr=0)[0]
-        w = run(f"{kind}geev", a, compute_vl=0, compute_vr=0, lwork=int(work.real), overwrite_a=1)
-        return w[0] if kind == "z" else w[0] + 1j * w[1]
-
-    if op.pt_defect() != 0.0:
-        vals = geev("z", op.to_dense())
-    else:
-        with np.errstate(over="ignore"):  # refused below
-            halves = _fold(op)
-        if not all(np.isfinite(band).all() for half in halves for band in half):
-            raise DomainError("the operator's PT fold overflows")
-        if all(
-            np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
-            for diag, sub, sup in halves
-        ):
-            vals = np.concatenate([  # dsterf refuses the empty e of a 1 x 1 half
-                diag.real if diag.size == 1 else run("dsterf", diag.real, sub.real)[0]
-                for diag, sub, _ in halves
-            ]).astype(complex)
-        else:
-            vals = geev("d", _folded_matrix(*halves))
+    with np.errstate(over="ignore"):  # refused below
+        halves = _fold(op)
+    if not all(np.isfinite(band).all() for half in halves for band in half):
+        raise DomainError("the operator's PT fold overflows")
+    if all(
+        np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
+        for diag, sub, sup in halves
+    ):
+        vals = np.concatenate([  # dsterf refuses the empty e of a 1 x 1 half
+            diag.real if diag.size == 1 else run("dsterf", diag.real, sub.real)[0]
+            for diag, sub, _ in halves
+        ]).astype(complex)
+    else:  # in the folded matrix's own storage, no eigenvectors
+        a = _folded_matrix(*halves)
+        work = run("dgeev_lwork", a.shape[0], compute_vl=0, compute_vr=0)[0]
+        wr, wi, *_ = run("dgeev", a, compute_vl=0, compute_vr=0, lwork=int(work), overwrite_a=1)
+        vals = wr + 1j * wi
     return vals[np.lexsort((vals.imag, vals.real))]
 
 
@@ -483,14 +505,14 @@ def _lapack():
 
     import scipy.linalg would cost a cold solving command about half its
     time, and even scipy's top-level __init__ loads test and version helpers
-    a solve never uses.  _shifted_solver and full_spectrum take their
-    routines from scipy.linalg._flapack: importlib.util.find_spec locates
-    scipy without running it, and the extension is loaded from there on its
-    own and entered in sys.modules, where a later import scipy.linalg finds
-    it.  The fallback is scipy.linalg.lapack, the same function objects: when
-    scipy has no spec (it raises ModuleNotFoundError), when the extension is
-    not where expected, or when loading it raises ImportError or OSError, as
-    it can where scipy's __init__ sets up DLL paths (Windows).
+    a solve never uses.  _shifted_solver (zgbtrf, zgbtrs) and full_spectrum
+    (dsterf, dgeev) take their routines from scipy.linalg._flapack: find_spec
+    locates scipy without running it, and the extension is loaded from there
+    on its own and entered in sys.modules, where a later import scipy.linalg
+    finds it.  The fallback is scipy.linalg.lapack, the same function
+    objects: when scipy has no spec (it raises ModuleNotFoundError), when the
+    extension is not where expected, or when loading it raises ImportError
+    or OSError, as it can where scipy's __init__ sets up DLL paths (Windows).
     """
     name = "scipy.linalg._flapack"
     scipy = importlib.util.find_spec("scipy")  # locates the package, runs none of it
@@ -625,9 +647,6 @@ def targeted_eigenvalue(
         raise DomainError(f"start vector of shape {np.shape(start)} for an operator of size {n}")
     if start is not None and not 0.0 < np.vdot(start, start).real < math.inf:  # NaN fails too
         raise DomainError("start vector with a zero or non-finite norm")
-    # formed (and cached) before the LU and the buffers below hold memory:
-    # at the first step's _residual_bound its temporaries would add to them
-    op.norm_inf
     shift, solve = _shifted_solver(op, shift)
     margin = 64.0 * _EPS * (op.norm_inf + abs(shift))  # the banded LU's backward error
     v = np.array(_start_vector(n) if start is None else start, dtype=complex)  # a copy

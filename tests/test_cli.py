@@ -529,8 +529,8 @@ def _cli(command: str) -> str:
     """)
 
 
-# a dense spectrum down each of full_spectrum's routes: dsterf (the oscillator),
-# dgeev (the A5 grid's fold) and zgeev (a non-PT operator)
+# a dense spectrum down each of full_spectrum's routes: dsterf (the oscillator)
+# and dgeev (the A5 grid's fold)
 _DENSE = textwrap.dedent("""
     from ptspec import solver
     from ptspec.contour import UShaped
@@ -540,8 +540,6 @@ _DENSE = textwrap.dedent("""
     solver.full_spectrum(
         solver.discretize(osc.contour, osc.potential, osc.L, osc.mass_sign,
                           solver.GridSpec(10.0, 200)))
-    solver.full_spectrum(a5)
-    a5.diag[0] += 1e-3j
     solver.full_spectrum(a5)
 """)
 

@@ -31,6 +31,7 @@ class Case(NamedTuple):
     defaults: dict  # field -> default, for the trailing fields that have one
     shown: str  # repr of cls(*args)
     other: tuple = None  # args of an unequal record; None where arrays would be compared
+    twin: tuple = None  # args of an equal record from other objects; None: args themselves
     hashable: bool = True
     validated: bool = False  # an input record: equality includes the type
     refused: tuple = ()  # (args, exception, message) triples
@@ -40,6 +41,8 @@ _LEVEL = Level(0, -1, -2.5, 1.5)
 _GRID = GridSpec(15.0, 4000)
 _VECTOR = np.array([1.0 + 0j, 0j])
 _BANDS = (np.array([1.0 + 0j, 2.0]), np.array([3.0 + 0j]), np.array([4.0 + 0j]))
+for _band in _BANDS:  # kept as they are, not copied, by DiscretizedOperator
+    _band.flags.writeable = False
 _EMPTY = SpectrumResult([], _GRID)
 
 CASES = [
@@ -103,6 +106,7 @@ CASES = [
     Case(DiscretizedOperator, ("diag", "sub", "sup"), _BANDS, {},
          "DiscretizedOperator(diag=array([1.+0.j, 2.+0.j]), sub=array([3.+0.j]), "
          "sup=array([4.+0.j]))",
+         other=([1.0, 2.0], [3.0], [5.0]), twin=([1.0, 2.0], [3.0], [4.0]),
          hashable=False, validated=True,
          refused=((([1.0], [], []), DomainError, "N must be >= 2, got 1"),
                   (([1.0, 2.0], [1.0, 2.0], [1.0]), DomainError,
@@ -128,7 +132,7 @@ def test_record_is_a_value(case):
         cls(*args, None)
 
     # equality and hash by value
-    twin = cls(*args)
+    twin = cls(*(args if case.twin is None else case.twin))
     assert twin == record and not twin != record
     if case.hashable:
         assert hash(twin) == hash(record)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from ptspec.analytic import Level, Reparametrization, figure3_data, level, spectrum_table
 from ptspec.contour import StraightLine, UShaped, derivatives, evaluate
-from ptspec.errors import ConvergenceFailure, DomainError, GeometryError, SingularL
+from ptspec.errors import ConvergenceFailure, DomainError, GeometryError, PtspecError, SingularL
 from ptspec import analytic, solver
 from ptspec.model import CoulombKratzer, Oscillator, effective_L, evaluate_potential, integer_L
 from ptspec.solver import (
@@ -232,19 +232,35 @@ class TestDiscretize:
         assert op.pt_defect() == 0.0
 
     @given(
-        epsilon=st.floats(min_value=0.1, max_value=3.0),
+        model=st.sampled_from(["coulomb-kratzer", "oscillator"]),
+        grid_kind=st.sampled_from(["plain", "stretched", "aligned"]),
+        epsilon=st.floats(min_value=0.05, max_value=3.0),
         S=st.floats(min_value=2.0, max_value=60.0),
-        N=st.integers(min_value=16, max_value=600),
+        N=st.integers(min_value=16, max_value=DENSE_CEILING),
         L=st.floats(min_value=-0.45, max_value=3.0),
         Z=st.floats(min_value=-3.0, max_value=3.0),
         mass_sign=st.sampled_from([1, -1]),
     )
     # eps = 2/pi puts the junctions at |s| = 1, and S=10 with N=19 puts nodes there
-    @example(epsilon=2 / math.pi, S=10.0, N=19, L=0.3, Z=1.0, mass_sign=-1)
+    @example(model="coulomb-kratzer", grid_kind="plain", epsilon=2 / math.pi, S=10.0, N=19,
+             L=0.3, Z=1.0, mass_sign=-1)
     @settings(max_examples=200, deadline=None)
-    def test_discrete_pt_identity_exact_on_every_grid(self, epsilon, S, N, L, Z, mass_sign):
-        assume(abs(L - round(L)) > 1e-6)
-        op = discretize(UShaped(epsilon), CoulombKratzer(Z), L, mass_sign, GridSpec(S, N))
+    def test_discrete_pt_identity_exact_on_every_grid(
+        self, model, grid_kind, epsilon, S, N, L, Z, mass_sign
+    ):
+        # the contract full_spectrum rests on: it folds every operator that
+        # discretize builds, odd and even N, on every grid, for both mass signs
+        if model == "oscillator":
+            contour, potential = StraightLine(0.0), Oscillator()
+        else:
+            contour, potential = UShaped(epsilon), CoulombKratzer(Z)
+        try:
+            grid = GridSpec(S, N, grid_kind != "plain")
+            if grid_kind == "aligned":
+                grid = aligned_grid(UShaped(epsilon), grid)
+            op = discretize(contour, potential, L, mass_sign, grid)
+        except PtspecError:  # an input the solver refuses: integer L, x = 0, ...
+            assume(False)
         assert op.pt_defect() == 0.0
 
     @given(
@@ -343,6 +359,22 @@ def _pt_operator(n, rng, real):
     return DiscretizedOperator(diag=diag, sub=sub, sup=np.conj(sub[::-1]))
 
 
+def _non_pt(op):
+    """op with 1e-3j added to its first diagonal entry: no longer PT-symmetric."""
+    diag = op.diag.copy()
+    diag[0] += 1e-3j
+    return DiscretizedOperator(diag=diag, sub=op.sub, sup=op.sup)
+
+
+_NOT_PT = "^only PT-symmetric operators, as discretize builds them, are folded$"
+
+
+def _assert_refused_before_the_loader(op):
+    with mock.patch.object(solver, "_lapack", side_effect=AssertionError("loader asked")):
+        with pytest.raises(DomainError, match=_NOT_PT):
+            full_spectrum(op)
+
+
 class TestDiscretizedOperator:
     @pytest.mark.parametrize("N", [0, 1])
     def test_fewer_than_two_nodes_rejected(self, N):
@@ -389,20 +421,25 @@ class TestFullSpectrum:
 
     @pytest.mark.parametrize("N", [127, 199])
     def test_in_place_dense_route_matches_copying_route(self, N):
-        # an A5 grid's operator broken out of PT symmetry, so it is not folded:
-        # the column-major matrix that zgeev overwrites gives the same
-        # eigenvalue bits as a C-ordered sum of three np.diag, which eigvals copies
+        # an A5 grid's operator: the column-major folded matrix that dgeev
+        # overwrites gives the same eigenvalue bits as a C-ordered copy of
+        # it, which eigvals copies
         import scipy.linalg
 
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, N))
-        op.diag[0] += 1e-3j
-        assert op.pt_defect() > 0.0
-        summed = np.diag(op.diag) + np.diag(op.sub, -1) + np.diag(op.sup, 1)
-        dense = op.to_dense()
+        folded = solver._folded_matrix(*solver._fold(op))
+        assert folded.flags.f_contiguous
+        vals = scipy.linalg.eigvals(np.ascontiguousarray(folded))
+        np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
+        # broken out of PT symmetry, it is refused before the loader is asked
+        # for a routine; its to_dense() is the tests' reference matrix
+        broken = _non_pt(op)
+        assert broken.pt_defect() > 0.0
+        summed = np.diag(broken.diag) + np.diag(broken.sub, -1) + np.diag(broken.sup, 1)
+        dense = broken.to_dense()
         assert dense.flags.f_contiguous
         np.testing.assert_array_equal(dense, summed)
-        vals = scipy.linalg.eigvals(summed)
-        np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
+        _assert_refused_before_the_loader(broken)
 
     @pytest.mark.parametrize("mass_sign", [1, -1])
     @pytest.mark.parametrize("N", [127, 199])
@@ -413,22 +450,19 @@ class TestFullSpectrum:
         op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, mass_sign, GridSpec(15.0, N))
         assert _pairing_distance(full_spectrum(op), scipy.linalg.eigvals(op.to_dense())) <= 1e-8
 
-    def test_real_non_pt_operator_gets_complex_qr(self):
+    def test_real_non_pt_operator_is_refused(self):
         # real symmetric, but its mirror image differs: not folded, and not
         # sent to the tridiagonal route either
-        import scipy.linalg
-
         op = DiscretizedOperator(
             diag=[1.0, 2.0, 3.0, 4.0, 5.0], sub=[0.5, 0.25, 1.0, 2.0], sup=[0.5, 0.25, 1.0, 2.0]
         )
         assert op.pt_defect() > 0.0
-        vals = scipy.linalg.eigvals(op.to_dense())
-        np.testing.assert_array_equal(full_spectrum(op), vals[np.lexsort((vals.imag, vals.real))])
+        _assert_refused_before_the_loader(op)
 
     def test_discretized_operators_never_reach_complex_qr(self, monkeypatch):
         # complex PT (the A5 grid), real symmetric (the oscillator) and real
         # non-symmetric (the oscillator on a stretched grid) operators, then a
-        # non-PT one: the routines each takes from the loader, in order
+        # non-PT one, refused: the routines each takes from the loader, in order
         lapack, taken = solver._lapack(), []
 
         class Recording:
@@ -446,30 +480,43 @@ class TestFullSpectrum:
                 GridSpec(10.0, 201, stretched=True),
             ),
         ]
-        non_pt = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, 127))
-        non_pt.diag[0] += 1e-3j
-        for op in [*ops, non_pt]:
-            assert (op.pt_defect() == 0.0) is (op is not non_pt)
+        for op in ops:
+            assert op.pt_defect() == 0.0
             taken.append([])
             assert full_spectrum(op).shape == (op.size,)
+        non_pt = _non_pt(ops[0])
+        assert non_pt.pt_defect() > 0.0
+        taken.append([])
+        with pytest.raises(DomainError, match=_NOT_PT):
+            full_spectrum(non_pt)
         # the A5 grid's fold and the stretched oscillator's, whose halves are
         # not symmetric, take real QR; the plain oscillator's symmetric halves
-        # take dsterf each
+        # take dsterf each; the non-PT operator takes nothing
         assert taken == [
-            ["dgeev_lwork", "dgeev"], ["dsterf", "dsterf"], ["dgeev_lwork", "dgeev"],
-            ["zgeev_lwork", "zgeev"],
+            ["dgeev_lwork", "dgeev"], ["dsterf", "dsterf"], ["dgeev_lwork", "dgeev"], [],
         ]
 
     def test_same_bits_as_scipy_linalg_before_it_loads(self, fresh_json):
-        # a fresh interpreter: the dense spectra run before import scipy.linalg,
-        # then scipy.linalg's own routines give the reference, with sterf
-        # named, since the default tridiagonal driver differs between releases
+        # a fresh interpreter: a non-PT operator is refused before the loader
+        # runs, the dense spectra run before import scipy.linalg, then
+        # scipy.linalg's own routines give the reference, with sterf named,
+        # since the default tridiagonal driver differs between releases
         out = fresh_json(textwrap.dedent("""
             import json, sys
             import numpy as np
             from ptspec import solver
             from ptspec.contour import UShaped
+            from ptspec.errors import DomainError
             from ptspec.model import CoulombKratzer
+
+            a5 = solver.discretize(
+                UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, solver.GridSpec(15.0, 127))
+            diag = a5.diag.copy()
+            diag[0] += 1e-3j
+            try:
+                solver.full_spectrum(solver.DiscretizedOperator(diag=diag, sub=a5.sub, sup=a5.sup))
+            except DomainError as exc:
+                refused = [str(exc), "scipy.linalg._flapack" in sys.modules]
 
             osc = solver.oscillator_problem()
             cases = {  # name: (operator, the route full_spectrum takes)
@@ -483,10 +530,6 @@ class TestFullSpectrum:
             cases["stretched oscillator N=201"] = (solver.discretize(
                 osc.contour, osc.potential, osc.L, osc.mass_sign,
                 solver.GridSpec(10.0, 201, stretched=True)), "dgeev")
-            non_pt = solver.discretize(
-                UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, solver.GridSpec(15.0, 127))
-            non_pt.diag[0] += 1e-3j
-            cases["non-PT N=127"] = (non_pt, "zgeev")
             cases["symmetric N=2"] = (solver.DiscretizedOperator(
                 diag=[2.0, 2.0], sub=[1.0], sup=[1.0]), "dsterf")
             cases["symmetric N=3"] = (solver.DiscretizedOperator(
@@ -502,9 +545,7 @@ class TestFullSpectrum:
             import scipy.linalg
 
             def reference(op, route):
-                if route == "zgeev":
-                    vals = scipy.linalg.eigvals(op.to_dense())
-                elif route == "dgeev":
+                if route == "dgeev":
                     vals = scipy.linalg.eigvals(solver._folded_matrix(*solver._fold(op)))
                 else:
                     vals = np.concatenate([
@@ -516,16 +557,19 @@ class TestFullSpectrum:
             def bits(vals):
                 return [[v.real.hex(), v.imag.hex()] for v in vals]
 
-            print(json.dumps({"cold": cold, "differ": [
+            print(json.dumps({"refused": refused, "cold": cold, "differ": [
                 name for name, (op, route) in cases.items()
                 if bits(got[name]) != bits(reference(op, route))
             ], "sizes": [got[name].size for name in cases]}))
         """))
+        assert out["refused"] == [
+            "only PT-symmetric operators, as discretize builds them, are folded", False,
+        ]
         assert out["cold"] == []
         assert out["differ"] == []
-        assert out["sizes"] == [127, 127, 199, 199, 2000, 201, 127, 2, 3, 2, 3]
+        assert out["sizes"] == [127, 127, 199, 199, 2000, 201, 2, 3, 2, 3]
 
-    @pytest.mark.parametrize("routine", ["dsterf", "dgeev", "zgeev"])
+    @pytest.mark.parametrize("routine", ["dsterf", "dgeev"])
     def test_lapack_failure_is_a_convergence_failure(self, monkeypatch, routine):
         lapack = solver._lapack()
 
@@ -538,17 +582,18 @@ class TestFullSpectrum:
         op = {
             "dsterf": DiscretizedOperator(diag=[2.0] * 4, sub=[1.0] * 3, sup=[1.0] * 3),
             "dgeev": _pt_operator(16, np.random.default_rng(16), False),
-            "zgeev": DiscretizedOperator(diag=[1.0, 2.0, 3.0], sub=[0.5, 0.25], sup=[0.5, 0.25]),
         }[routine]
         with pytest.raises(ConvergenceFailure, match=f"routine {routine} failed \\(info=7\\)"):
             full_spectrum(op)
 
     @pytest.mark.parametrize("op", [
-        # odd N: the fold scales the middle couplings by sqrt2 (real QR)
-        DiscretizedOperator(diag=[1 + 1j, 2.0, 1 - 1j], sub=[1.5e308, 1.0], sup=[1.0, 1.5e308]),
-        # even N: the fold adds the corner coupling to the diagonal (dsterf)
-        DiscretizedOperator(diag=[1e308, 1e308], sub=[1e308], sup=[1e308]),
-    ], ids=["odd", "even"])
+        # odd N: the fold scales the middle couplings by sqrt2 (real QR); the
+        # row sums stay finite, since the middle row holds neither sup[0] nor
+        # its mirror sub[1].  An even N's fold adds the corner coupling to the
+        # diagonal, which its row sum bounds: such an operator is refused
+        # when it is built (test_row_sum_past_the_float_range_is_refused)
+        DiscretizedOperator(diag=[1 + 1j, 2.0, 1 - 1j], sub=[1.0, 1.5e308], sup=[1.5e308, 1.0]),
+    ], ids=["odd"])
     def test_overflowing_fold_is_refused(self, op):
         # LAPACK given the overflowed entries returns numbers, not an error
         assert op.pt_defect() == 0.0
@@ -663,7 +708,7 @@ class TestTargeted:
         np.testing.assert_array_equal(start, before)
 
     # the loader's banded LU routines (_shifted_solver) and dense ones (full_spectrum)
-    ROUTINES = ("zgbtrf", "zgbtrs", "dsterf", "dgeev", "dgeev_lwork", "zgeev", "zgeev_lwork")
+    ROUTINES = ("zgbtrf", "zgbtrs", "dsterf", "dgeev", "dgeev_lwork")
 
     def assert_scipys(self, lapack):
         import scipy.linalg
@@ -1400,6 +1445,49 @@ class TestSizeAndFiniteBounds:
         with pytest.raises(DomainError, match=f"^the operator's {band} is not finite$"):
             DiscretizedOperator(*bands.values())
 
+    def test_row_sum_past_the_float_range_is_refused(self):
+        # finite bands whose largest row sum overflows: norm_inf read
+        # "overflow encountered in add", in targeted_eigenvalue too
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError, match=re.escape(
+                "the operator's largest row sum |diag| + |sub| + |sup| is not finite"
+            )):
+                DiscretizedOperator(diag=[1e308, 1e308], sub=[1e308], sup=[1e308])
+
+    def test_overflowing_pt_defect_reads_as_non_pt(self):
+        # the mirror difference 1e308 - (-1e308) overflows: pt_defect and
+        # full_spectrum read "overflow encountered in subtract"
+        op = DiscretizedOperator(diag=[1e308, -1e308], sub=[1.0], sup=[1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert op.pt_defect() == math.inf
+            _assert_refused_before_the_loader(op)
+
+    def test_every_band_is_read_only(self):
+        # a writable diagonal let norm_inf, cached at its first read, go
+        # stale: 714.6 after op.diag[:] *= 1e6, against a row-sum maximum of 3.57e8
+        op = discretize(UShaped(1.0), CoulombKratzer(1.0), 0.3, -1, GridSpec(15.0, 400))
+        norm = op.norm_inf
+        for band in (op.diag, op.sub, op.sup):
+            with pytest.raises(ValueError, match="read-only"):
+                band[:] *= 1e6
+        row_sum = np.abs(op.to_dense()).sum(axis=1).max()
+        assert op.norm_inf == norm == pytest.approx(row_sum, rel=1e-14)
+        # a caller's writable array is copied, not frozen, and so is a
+        # read-only view, whose base may still be written; a read-only array
+        # that owns its data is kept
+        diag, sub, base = np.ones(3, dtype=complex), np.ones(2, dtype=complex), np.ones(2) + 0j
+        sub.flags.writeable = False
+        sup = base[:]
+        sup.flags.writeable = False
+        op = DiscretizedOperator(diag=diag, sub=sub, sup=sup)
+        assert diag.flags.writeable and not np.shares_memory(op.diag, diag)
+        assert op.sub is sub and not np.shares_memory(op.sup, base)
+        diag *= 1e6
+        base *= 1e6
+        assert op.norm_inf == 3.0 and op.diag.tolist() == [1.0, 1.0, 1.0]
+
     @pytest.mark.parametrize("shape", [(399,), (401,), (400, 1)])
     def test_start_vector_of_another_shape(self, shape):
         op = discretize(UShaped(1.0), CoulombKratzer(-1.0), 0.3, -1, GridSpec(15.0, 400))
@@ -1522,14 +1610,19 @@ def test_matched_stays_matched_at_smaller_step_and_wider_box(L, epsilon, S, n):
     strict=True,
     reason="box-limited (2,+1) and the iteration stall: ROADMAP open items 1-2",
 )
-def test_matched_stays_matched_at_smaller_step_box_limited_draw():
-    # a draw on which the property above fails.  2L+1 = 5.5 is outside its
-    # integer exclusion.  On the aligned grid (T = 15.849, N = 5807), (2,+1)
-    # is matched through the 1e-3 floor after 12 steps; on the refined grid
-    # (N = 11615) inverse iteration reaches its 200-step cap at residual
-    # 2.7e-10, against a tolerance of 1.0e-10
-    problem = ck_problem(L=2.25, eps=0.5)
-    grid = aligned_grid(problem.contour, GridSpec(15.875, 5807))
+@pytest.mark.parametrize("L, S, N", [(2.25, 15.875, 5807), (2.3125, 15.5, 7395)])
+def test_matched_stays_matched_at_smaller_step_box_limited_draw(L, S, N):
+    # draws on which the property above fails, at epsilon = 0.5.  Both 2L+1
+    # are outside its integer exclusion.
+    # - 2L+1 = 5.5: on the aligned grid (T = 15.849, N = 5807), (2,+1) is
+    #   matched through the 1e-3 floor after 12 steps; on the refined grid
+    #   (N = 11615) inverse iteration reaches its 200-step cap at residual
+    #   2.7e-10, against a tolerance of 1.0e-10.
+    # - 2L+1 = 5.625 (n = 3697): (2,+1) is matched on the aligned grid and on
+    #   the wider box; on the refined grid it is off by 1.002e-3, just above
+    #   the 1e-3 floor, after 22 steps.
+    problem = ck_problem(L=L, eps=0.5)
+    grid = aligned_grid(problem.contour, GridSpec(S, N))
     assert (2, 1) in _keys(find_bound_states(problem, grid, 2).matched)
     assert (2, 1) in _keys(find_bound_states(problem, grid.refined(), 2).matched)
 
