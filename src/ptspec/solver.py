@@ -164,7 +164,8 @@ def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
     smallest j >= t_J(N+1)/(2S) that makes k an integer.  The step never
     exceeds 2S/(N+1), and N -> 2N+1 at the same T keeps every node, the
     junction's included (GridSpec.refined).  The width-zero contour has no
-    junction: T = S.
+    junction: T = S.  A junction index or a reach g(T) that overflows raises
+    GeometryError.
     """
     t_j = STRETCH * math.asinh(contour.junction / STRETCH)
     if t_j == 0.0:
@@ -177,7 +178,14 @@ def aligned_grid(contour: UShaped, grid: GridSpec) -> GridSpec:
             f"puts the arc junction at node index {index} from the centre; raise S"
         )
     j = half + math.ceil(index - half)
-    return GridSpec(S=t_j * half / j, N=grid.N, stretched=True)
+    T = t_j * half / j
+    try:
+        return GridSpec(S=T, N=grid.N, stretched=True)
+    except DomainError:  # the only refusal a positive finite T can meet
+        raise GeometryError(
+            f"epsilon = {contour.epsilon}: the aligned grid for S = {grid.S}, N = {grid.N} "
+            f"has T = {T}, whose reach g(T) overflows (T past about 2836.36); lower S"
+        ) from None
 
 
 def _dense(diag: np.ndarray, sub: np.ndarray, sup: np.ndarray) -> np.ndarray:
@@ -396,9 +404,9 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
     An operator with pt_defect() != 0 raises DomainError before any LAPACK
     routine is looked up; no discretize output has one.  The operator is
     folded into real arithmetic (_fold, after A. Lee, Linear Algebra Appl.
-    29, 205, 1980): a real operator whose two parity halves are symmetric
-    takes dsterf on each half, of size about N/2, and every other one
-    becomes one real matrix of size N, whose real Hessenberg QR (dgeev)
+    29, 205, 1980): a real symmetric operator (sub == sup) has real symmetric
+    parity halves and takes dsterf on each, of size about N/2; every other
+    one becomes one real matrix of size N, whose real Hessenberg QR (dgeev)
     returns the eigenvalues in exact conjugate pairs; a fold that overflows
     raises DomainError.  The routines come from _lapack and are called as
     scipy.linalg's eigvalsh_tridiagonal(d, e, lapack_driver='sterf') and
@@ -426,10 +434,7 @@ def full_spectrum(op: DiscretizedOperator) -> np.ndarray:
         halves = _fold(op)
     if not all(np.isfinite(band).all() for half in halves for band in half):
         raise DomainError("the operator's PT fold overflows")
-    if all(
-        np.array_equal(sub, sup) and not (diag.imag.any() or sub.imag.any())
-        for diag, sub, sup in halves
-    ):
+    if np.array_equal(op.sub, op.sup) and not (op.diag.imag.any() or op.sub.imag.any()):
         vals = np.concatenate([  # dsterf refuses the empty e of a 1 x 1 half
             diag.real if diag.size == 1 else run("dsterf", diag.real, sub.real)[0]
             for diag, sub, _ in halves

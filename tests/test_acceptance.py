@@ -1,6 +1,6 @@
 """Acceptance suite: one test per criterion, each printing a PASS/FAIL line.
 
-Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
+Run with `pytest tests/test_acceptance.py -rP` to see the per-criterion
 report lines.
 """
 

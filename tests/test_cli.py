@@ -187,9 +187,14 @@ class TestSpectrumNumeric:
          "the aligned grid for S = 1e-308, N = 100 puts the arc junction at node index inf"),
         (("spectrum", "numeric", "--Z", "1", "--L", "0.3", "--S", "10000", "--N", "100000",
           "--nmax", "0"),
-         "the reach g(S) of a stretched grid at S = 9017.692176946908 must be finite, got inf"),
+         "the aligned grid for S = 10000.0, N = 100000 has T = 9017.692176946908, "
+         "whose reach g(T) overflows"),
         (("contour", "sample", "--smin", "1", "--smax", "1"), "smax must exceed smin"),
         (("figure3", "--grid-min", "0"), "require 0 < grid_min < grid_max"),
+        # --S auto grows like 1/Z: at Z = 1e-3 it gives S = 19800, whose aligned T overflows
+        (("spectrum", "numeric", "--Z", "1e-3", "--L", "0.3"),
+         "the aligned grid for S = 19800.0, N = 4000 has T = 6133.5023529704495, "
+         "whose reach g(T) overflows"),
     ])
     def test_refused_search_is_one_error_line(self, capsys, argv, reason):
         # a collapsed L, a reach below S, a negative n_max, an overflowed value,

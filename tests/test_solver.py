@@ -359,6 +359,20 @@ def _pt_operator(n, rng, real):
     return DiscretizedOperator(diag=diag, sub=sub, sup=np.conj(sub[::-1]))
 
 
+@st.composite
+def _real_pt_operators(draw):
+    """A real tridiagonal operator with M = J M J, symmetric (sub == sup) or not."""
+    n = draw(st.integers(min_value=2, max_value=40))
+    value = st.floats(min_value=-10.0, max_value=10.0)
+    half = draw(st.lists(value, min_size=n - n // 2, max_size=n - n // 2))
+    if draw(st.booleans()):  # a palindromic sub, so sup = sub[::-1] equals it
+        head = draw(st.lists(value, min_size=n // 2, max_size=n // 2))
+        sub = head + head[: (n - 1) // 2][::-1]
+    else:
+        sub = draw(st.lists(value, min_size=n - 1, max_size=n - 1))
+    return DiscretizedOperator(diag=half + half[: n // 2][::-1], sub=sub, sup=sub[::-1])
+
+
 def _non_pt(op):
     """op with 1e-3j added to its first diagonal entry: no longer PT-symmetric."""
     diag = op.diag.copy()
@@ -495,6 +509,30 @@ class TestFullSpectrum:
         assert taken == [
             ["dgeev_lwork", "dgeev"], ["dsterf", "dsterf"], ["dgeev_lwork", "dgeev"], [],
         ]
+
+    @given(op=_real_pt_operators())
+    @example(op=DiscretizedOperator(diag=[1.0, 2.0, 1.0], sub=[0.5, 0.25], sup=[0.25, 0.5]))
+    @example(op=DiscretizedOperator(diag=[1.0, 2.0, 2.0, 1.0], sub=[0.5, 3.0, 0.5],
+                                    sup=[0.5, 3.0, 0.5]))
+    @settings(max_examples=200, deadline=None)
+    def test_real_pt_route_is_read_off_the_operator(self, op):
+        # dsterf on each parity half of more than one row exactly when
+        # sub == sup, real QR of the fold otherwise
+        assert op.pt_defect() == 0.0
+        lapack, taken = solver._lapack(), []
+
+        class Recording:
+            def __getattr__(self, name):
+                taken.append(name)
+                return getattr(lapack, name)
+
+        with mock.patch.object(solver, "_lapack", Recording):
+            assert full_spectrum(op).shape == (op.size,)
+        if np.array_equal(op.sub, op.sup):
+            n = op.size
+            assert taken == ["dsterf"] * ((n - n // 2 > 1) + (n // 2 > 1))
+        else:
+            assert taken == ["dgeev_lwork", "dgeev"]
 
     def test_same_bits_as_scipy_linalg_before_it_loads(self, fresh_json):
         # a fresh interpreter: a non-PT operator is refused before the loader
